@@ -24,7 +24,6 @@ from __future__ import annotations
 import os
 import signal
 import time
-from pathlib import Path
 
 from conftest import write_result
 from repro import HomographIndex, Table
@@ -34,8 +33,6 @@ from repro.bench.synthetic import SBConfig, generate_sb
 from repro.cluster import start_cluster
 from repro.serving.client import HomographClient
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_PATH = REPO_ROOT / "BENCH_PR10.json"
 SCALE = os.environ.get("REPRO_PERF_SCALE", "default")
 
 # (workers, seconds per run, ops per schedule)
@@ -67,7 +64,9 @@ def _wait(predicate, timeout=60.0, interval=0.05):
 
 
 class TestClusterScaling:
-    def test_router_vs_direct_and_failover(self, tmp_path, results_dir):
+    def test_router_vs_direct_and_failover(
+        self, tmp_path, results_dir, bench_dir
+    ):
         workers, seconds, ops = SHAPE
         snapshot = tmp_path / "sb"
         index = HomographIndex(
@@ -150,7 +149,8 @@ class TestClusterScaling:
             },
         }
         update_bench_section(
-            BENCH_PATH, "cluster_scaling", payload, _meta()
+            bench_dir / "BENCH_PR10.json", "cluster_scaling", payload,
+            _meta(),
         )
         lines = [
             f"cluster scaling over 3-member fleet "

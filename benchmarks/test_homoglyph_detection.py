@@ -16,7 +16,6 @@ finishes in seconds.
 
 import json
 import os
-from pathlib import Path
 
 import pytest
 from conftest import write_result
@@ -31,8 +30,7 @@ from repro.bench.report import update_bench_section
 from repro.bench.tus import TUSConfig, generate_tus
 from repro.eval.metrics import precision_recall_at_k
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_PATH = REPO_ROOT / "BENCH_PR9.json"
+BENCH_NAME = "BENCH_PR9.json"
 SCALE = os.environ.get("REPRO_PERF_SCALE", "default")
 NUM_FORGERIES = 4 if SCALE == "smoke" else 10
 # Default-scale TUS graphs are too large for exact BC in a benchmark
@@ -40,12 +38,12 @@ NUM_FORGERIES = 4 if SCALE == "smoke" else 10
 TUS_SAMPLE = None if SCALE == "smoke" else 1000
 
 
-def _merge_homoglyph_section(key, payload):
+def _merge_homoglyph_section(bench_path, key, payload):
     """Fold one dataset's results into the shared ``homoglyph`` section."""
     section = {}
-    if BENCH_PATH.exists():
+    if bench_path.exists():
         try:
-            existing = json.loads(BENCH_PATH.read_text())
+            existing = json.loads(bench_path.read_text())
         except (OSError, json.JSONDecodeError):
             existing = {}
         if isinstance(existing, dict) and isinstance(
@@ -54,7 +52,7 @@ def _merge_homoglyph_section(key, payload):
             section = dict(existing["homoglyph"])
     section[key] = payload
     update_bench_section(
-        BENCH_PATH, "homoglyph", section, meta={"scale": SCALE}
+        bench_path, "homoglyph", section, meta={"scale": SCALE}
     )
 
 
@@ -156,7 +154,7 @@ def forged_tus(request):
 
 
 def test_sb_skeleton_recall_beats_exact_baseline(
-    benchmark, sb, forged_sb, results_dir
+    benchmark, sb, forged_sb, results_dir, bench_dir
 ):
     # SB's 55 planted natural homographs legitimately crowd the top
     # ranks, so the cut leaves room for them above the forged pairs.
@@ -167,7 +165,7 @@ def test_sb_skeleton_recall_beats_exact_baseline(
         rounds=1,
         iterations=1,
     )
-    _merge_homoglyph_section("sb", payload)
+    _merge_homoglyph_section(bench_dir / BENCH_NAME, "sb", payload)
     write_result(
         results_dir, "homoglyph_sb", _format("SB (forged)", payload)
     )
@@ -175,7 +173,7 @@ def test_sb_skeleton_recall_beats_exact_baseline(
 
 
 def test_tus_skeleton_recall_beats_exact_baseline(
-    benchmark, forged_tus, results_dir
+    benchmark, forged_tus, results_dir, bench_dir
 ):
     payload, base_pr, skel_pr = benchmark.pedantic(
         _evaluate,
@@ -184,7 +182,7 @@ def test_tus_skeleton_recall_beats_exact_baseline(
         rounds=1,
         iterations=1,
     )
-    _merge_homoglyph_section("tus", payload)
+    _merge_homoglyph_section(bench_dir / BENCH_NAME, "tus", payload)
     write_result(
         results_dir, "homoglyph_tus",
         _format("TUS-I (forged)", payload),
@@ -192,9 +190,9 @@ def test_tus_skeleton_recall_beats_exact_baseline(
     _assert_separation(payload, base_pr, skel_pr)
 
 
-def test_bench_report_section_is_schema_valid():
+def test_bench_report_section_is_schema_valid(bench_dir):
     from repro.bench.report import validate_bench_report
 
-    report = json.loads(BENCH_PATH.read_text())
+    report = json.loads((bench_dir / BENCH_NAME).read_text())
     assert validate_bench_report(report) == []
     assert set(report["homoglyph"]) >= {"sb", "tus"}

@@ -61,7 +61,7 @@ from repro.bench.synthetic import SBConfig, generate_sb
 from repro.serving.client import HomographClient
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_PATH = REPO_ROOT / "BENCH_PR8.json"
+BENCH_NAME = "BENCH_PR8.json"
 SCALE = os.environ.get("REPRO_PERF_SCALE", "default")
 
 # (light workers, heavy workers, seconds per run, schedule ops)
@@ -135,7 +135,7 @@ class TestMixedLoad:
     """The tentpole: drive a live serve subprocess with mixed traffic."""
 
     def test_mixed_workload_over_live_server(
-        self, tmp_path, results_dir, leak_guard
+        self, tmp_path, results_dir, bench_dir, leak_guard
     ):
         light_workers, heavy_workers, seconds, ops = MIXED_SHAPE
         for name, seed in (("alpha", 0), ("beta", 1)):
@@ -216,7 +216,9 @@ class TestMixedLoad:
             "saturation_rps": round(saturation, 1),
             "gate": gate,
         }
-        update_bench_section(BENCH_PATH, "http_load", payload, _meta())
+        update_bench_section(
+            bench_dir / BENCH_NAME, "http_load", payload, _meta()
+        )
         lines = [
             f"mixed load over live serve subprocess "
             f"(scale={SCALE}, {seconds:.1f}s per run)",
@@ -308,7 +310,7 @@ class TestFairness:
     """The acceptance scenario: a hot lake must not starve its sibling."""
 
     def test_hot_lake_cannot_starve_sibling(
-        self, sleep_measures, results_dir, leak_guard
+        self, sleep_measures, results_dir, bench_dir, leak_guard
     ):
         hot_workers, cold_workers, seconds = FAIRNESS_SHAPE
         limit = 4
@@ -373,7 +375,9 @@ class TestFairness:
             },
             "gate": {"fair": fair_gate, "unfair": unfair_gate},
         }
-        update_bench_section(BENCH_PATH, "fairness", payload, _meta())
+        update_bench_section(
+            bench_dir / BENCH_NAME, "fairness", payload, _meta()
+        )
         lines = [
             f"fairness: {hot_workers} hot vs {cold_workers} cold "
             f"workers on a {limit}-slot server (scale={SCALE})",
@@ -388,11 +392,12 @@ class TestFairness:
         write_result(results_dir, "http_fairness", "\n".join(lines))
 
 
-def test_bench_report_is_valid():
+def test_bench_report_is_valid(bench_dir):
     """PR 8's own artifact conforms to the shared BENCH schema."""
-    if not BENCH_PATH.exists():
+    bench_path = bench_dir / BENCH_NAME
+    if not bench_path.exists():
         pytest.skip("BENCH_PR8.json not generated in this run order")
     from repro.bench.report import validate_bench_report
 
-    problems = validate_bench_report(json.loads(BENCH_PATH.read_text()))
+    problems = validate_bench_report(json.loads(bench_path.read_text()))
     assert problems == [], problems

@@ -27,14 +27,11 @@ TUS-small either way.
 import json
 import os
 import time
-from pathlib import Path
 
 from conftest import write_result
 
 from repro import DataLake, DetectRequest, HomographIndex, Table
 from repro.bench.tus import TUSConfig, generate_tus
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 SCALE = os.environ.get("REPRO_PERF_SCALE", "default")
 
@@ -71,7 +68,7 @@ def _full_rebuild(lake):
     return seconds, responses
 
 
-def test_delta_mutation_beats_full_rebuild(results_dir):
+def test_delta_mutation_beats_full_rebuild(results_dir, bench_dir):
     dataset = generate_tus(TUSConfig.small(seed=0))
     index = HomographIndex(dataset.lake)
     for request in WARM_REQUESTS:
@@ -146,7 +143,7 @@ def test_delta_mutation_beats_full_rebuild(results_dir):
             ),
         },
     }
-    (REPO_ROOT / "BENCH_PR7.json").write_text(
+    (bench_dir / "BENCH_PR7.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
     lines = [

@@ -29,7 +29,6 @@ Scale knob (``REPRO_PERF_SCALE``):
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -40,8 +39,6 @@ from repro.core.betweenness import betweenness_scores
 from repro.core.builder import build_graph
 from repro.core.lcc import lcc_scores
 from repro.perf import ExecutionConfig, available_cores
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 SCALE = os.environ.get("REPRO_PERF_SCALE", "default")
 _PARAMS = {
@@ -105,7 +102,7 @@ def _run_workload(name, fn, report, lines):
     )
 
 
-def test_perf_engine(sb, tus, results_dir):
+def test_perf_engine(sb, tus, results_dir, bench_dir):
     report = {}
     lines = [
         f"perf engine — scale={SCALE}, cpus={available_cores()}, "
@@ -164,7 +161,7 @@ def test_perf_engine(sb, tus, results_dir):
             "enforced unconditionally"
         ),
     }
-    (REPO_ROOT / "BENCH_PR2.json").write_text(
+    (bench_dir / "BENCH_PR2.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
     write_result(results_dir, "perf_engine", "\n".join(lines))

@@ -20,7 +20,6 @@ the PR-2 perf harness.
 import json
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -29,8 +28,6 @@ from conftest import write_result
 import repro.api.index as index_module
 from repro import DetectRequest, ExecutionConfig, HomographIndex
 from repro.perf import available_cores
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Scoring calls per configuration (each with a fresh seed).
 REPEATS = 5
@@ -55,7 +52,7 @@ def _timed_detects(index, seeds):
     return times, scores
 
 
-def test_warm_pool_beats_per_call_pools(sb, results_dir):
+def test_warm_pool_beats_per_call_pools(sb, results_dir, bench_dir):
     seeds = list(range(REPEATS))
     lake = sb.lake
 
@@ -129,7 +126,7 @@ def test_warm_pool_beats_per_call_pools(sb, results_dir):
             ),
         },
     }
-    (REPO_ROOT / "BENCH_PR3.json").write_text(
+    (bench_dir / "BENCH_PR3.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
     lines = [

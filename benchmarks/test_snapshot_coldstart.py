@@ -28,8 +28,6 @@ from repro.bench.tus import TUSConfig, generate_tus
 from repro.datalake import dump_lake, load_lake
 from repro.snapshot import load_manifest
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
 #: The snapshot mount must beat the cold rebuild by at least this
 #: factor — the subsystem's headline guarantee on TUS-small.
 MIN_SPEEDUP = 10.0
@@ -73,7 +71,9 @@ def _snapshot_start(snapshot: Path):
     return seconds, responses
 
 
-def test_snapshot_mount_beats_cold_rebuild(tmp_path, results_dir):
+def test_snapshot_mount_beats_cold_rebuild(
+    tmp_path, results_dir, bench_dir
+):
     dataset = generate_tus(TUSConfig.small(seed=0))
     csv_dir = tmp_path / "csv"
     dump_lake(dataset.lake, csv_dir)
@@ -132,7 +132,7 @@ def test_snapshot_mount_beats_cold_rebuild(tmp_path, results_dir):
             ),
         },
     }
-    (REPO_ROOT / "BENCH_PR6.json").write_text(
+    (bench_dir / "BENCH_PR6.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
     lines = [

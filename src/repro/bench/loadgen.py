@@ -13,8 +13,9 @@ durations — never of sampling luck.
 The three layers:
 
 * :class:`LatencyHistogram` — log-spaced fixed buckets (100µs to
-  hours, 25% resolution); ``percentile`` answers with a bucket upper
-  bound, which makes hand-computed oracles possible in unit tests.
+  ~7.5 hours, 2% resolution); ``percentile`` answers with a bucket
+  upper bound, which makes hand-computed oracles possible in unit
+  tests.
 * :class:`LoadOp` + :func:`build_mixed_schedule` — a seed-reproducible
   workload: the same ``(seed, ops, lakes)`` always yields the same
   operation sequence (cache-hit detects, cache-miss detects, ranking
@@ -57,11 +58,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..datalake.table import Table
 from ..serving.client import HomographClient, JobFailed, ServiceError
 
-#: Histogram bucket upper bounds (seconds): geometric from 100µs at
-#: 25% resolution.  Fixed at import time so percentiles are stable
-#: across runs, machines, and processes.
+#: Histogram bucket upper bounds (seconds): geometric from 100µs to
+#: ~7.5 hours at 2% resolution (982 edges).  Fixed at import time so
+#: percentiles are stable across runs, machines, and processes.
 BUCKET_EDGES: Tuple[float, ...] = tuple(
-    1e-4 * 1.25 ** i for i in range(88)
+    1e-4 * 1.02 ** i for i in range(982)
 )
 
 #: The default mixed workload: weights mirror a read-heavy serving
@@ -87,7 +88,7 @@ class LatencyHistogram:
     bound covers it; ``percentile(q)`` walks the cumulative counts to
     the ``ceil(q% * count)``-th sample and answers that bucket's upper
     bound (capped at the exact observed maximum, so ``percentile(100)
-    == max``).  Bucket edges are 25% apart — a percentile is never
+    == max``).  Bucket edges are 2% apart — a percentile is never
     more than one resolution step above the true order statistic, and
     identical inputs always produce identical outputs, which is what
     lets CI pin percentile math against hand-computed oracles instead

@@ -408,33 +408,6 @@ class RouterRequestHandler(KeepAliveRequestHandler):
         self._route("DELETE")
 
     # ------------------------------------------------------------------
-    # Response plumbing (mirrors the workspace server's error shape)
-    # ------------------------------------------------------------------
-    def _send_json(self, status: int, payload, extra_headers=None):
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_problem(self, problem: _HTTPProblem) -> None:
-        headers = {"Connection": "close"}
-        self.close_connection = True
-        if problem.retry_after is not None:
-            headers["Retry-After"] = str(problem.retry_after)
-        error: Dict[str, object] = {
-            "status": problem.status,
-            "code": problem.code,
-            "message": problem.message,
-        }
-        if problem.lake is not None:
-            error["lake"] = problem.lake
-        self._send_json(problem.status, {"error": error}, headers)
-
-    # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
     def _route(self, method: str) -> None:
@@ -627,15 +600,13 @@ class RouterRequestHandler(KeepAliveRequestHandler):
             if isinstance(job_id, str):
                 self.server.record_job(job_id, replica)
         self.server.count("served")
-        self.send_response(status)
-        for name, value in headers.items():
-            if name.lower() in _SKIP_RESPONSE_HEADERS:
-                continue
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(payload)))
-        self.send_header("X-DomainNet-Replica", replica.name)
-        self.end_headers()
-        self.wfile.write(payload)
+        forwarded = [
+            (name, value)
+            for name, value in headers.items()
+            if name.lower() not in _SKIP_RESPONSE_HEADERS
+        ]
+        forwarded.append(("X-DomainNet-Replica", replica.name))
+        self._send_response(status, forwarded, payload)
 
     def _backend_request(
         self,

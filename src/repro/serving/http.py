@@ -114,7 +114,7 @@ import selectors
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..api import DetectRequest, HomographIndex, available_measures
@@ -715,8 +715,10 @@ class KeepAliveRequestHandler(BaseHTTPRequestHandler):
     Pairs with :class:`DrainingThreadingHTTPServer`: one thread per
     connection serving its whole keep-alive lifetime, idle waits
     registered with the server so a drain can cut them, and the
-    pipelining/buffered-bytes corner cases handled once.  Subclasses
-    implement the ``do_*`` verbs.
+    pipelining/buffered-bytes corner cases handled once.  Every
+    response leaves through :meth:`_send_response` — status line,
+    headers and body in one write on a ``TCP_NODELAY`` socket.
+    Subclasses implement the ``do_*`` verbs.
     """
 
     # HTTP/1.1 with keep-alive: every response carries an exact
@@ -730,15 +732,121 @@ class KeepAliveRequestHandler(BaseHTTPRequestHandler):
     # forever — drain() joins them all.  setup() replaces this class
     # fallback with the server's configured request_timeout.
     timeout = DEFAULT_REQUEST_TIMEOUT
+    # TCP_NODELAY on every accepted socket (StreamRequestHandler.setup
+    # applies it).  With Nagle on, a write that follows an unacked one
+    # waits for the client's delayed ACK (~40 ms on Linux): a response
+    # right behind a pipelined one, or any write split in two.
+    disable_nagle_algorithm = True
 
     def setup(self) -> None:
         """Apply the server's request timeout before the socket setup.
 
-        ``StreamRequestHandler.setup`` reads ``self.timeout`` when it
-        configures the connection, so the override must land first.
+        ``StreamRequestHandler.setup`` reads ``self.timeout`` (and
+        ``disable_nagle_algorithm``) when it configures the
+        connection, so the override must land first.
         """
         self.timeout = self.server.request_timeout
         super().setup()
+
+    # -- responses -----------------------------------------------------
+    def _send_response(
+        self,
+        status: int,
+        headers: Iterable[Tuple[str, str]],
+        body: bytes,
+    ) -> None:
+        """Send one whole response — status, headers, body — in one write.
+
+        The status line and headers go through the stdlib
+        ``send_response``/``send_header`` (which buffer them); the
+        buffer is then joined with the body instead of being flushed
+        on its own by ``end_headers``.
+        """
+        self.send_response(status)
+        for name, value in headers:
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(body)))
+        head = b""
+        if self.request_version != "HTTP/0.9":
+            # What end_headers() would flush: the buffered header
+            # lines and the blank line ending them.
+            head = b"".join(self._headers_buffer) + b"\r\n"
+        self._headers_buffer = []
+        self.wfile.write(head + body)
+
+    def _accepts_gzip(self) -> bool:
+        """Whether the request advertised ``Accept-Encoding: gzip``.
+
+        Honors q-values: ``gzip;q=0`` is an explicit refusal, not an
+        acceptance.
+        """
+        raw = self.headers.get("Accept-Encoding", "")
+        for token in raw.split(","):
+            name, _, params = token.partition(";")
+            if name.strip().lower() not in ("gzip", "x-gzip"):
+                continue
+            quality = 1.0
+            for param in params.split(";"):
+                key, _, value = param.partition("=")
+                if key.strip().lower() == "q":
+                    try:
+                        quality = float(value.strip())
+                    except ValueError:
+                        quality = 0.0
+            if quality > 0.0:
+                # Any acceptable gzip-family token wins; keep
+                # scanning past refused aliases ('x-gzip;q=0, gzip').
+                return True
+        return False
+
+    def _send_json(
+        self,
+        status: int,
+        payload: Dict[str, object],
+        extra_headers: Optional[Dict[str, str]] = None,
+        compress: bool = False,
+    ) -> None:
+        """Send ``payload`` as JSON, gzip'd if ``compress`` and accepted."""
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
+        headers.update(extra_headers or {})
+        if compress:
+            # Negotiated compression: the uncompressed shape stays
+            # available to clients that did not ask for gzip.
+            headers.setdefault("Vary", "Accept-Encoding")
+            if self._accepts_gzip():
+                buffer = io.BytesIO()
+                # mtime=0 keeps equal payloads byte-identical.
+                with gzip.GzipFile(
+                    fileobj=buffer, mode="wb", mtime=0
+                ) as stream:
+                    stream.write(body)
+                body = buffer.getvalue()
+                headers["Content-Encoding"] = "gzip"
+        self._send_response(status, headers.items(), body)
+
+    def _send_problem(self, problem: _HTTPProblem) -> None:
+        """Send ``problem`` as the structured error body and close."""
+        headers = {}
+        if problem.retry_after is not None:
+            headers["Retry-After"] = str(problem.retry_after)
+        if problem.status == 401:
+            headers["WWW-Authenticate"] = "Bearer"
+        # An errored request may leave an unread body on the socket
+        # (auth failures, unknown routes); reusing the connection
+        # would parse those bytes as the next request line.  Close it.
+        self.close_connection = True
+        headers["Connection"] = "close"
+        error: Dict[str, object] = {
+            "status": problem.status,
+            "code": problem.code,
+            "message": problem.message,
+        }
+        if problem.lake is not None:
+            error["lake"] = problem.lake
+        self._send_json(
+            problem.status, {"error": error}, extra_headers=headers
+        )
 
     # -- plumbing ------------------------------------------------------
     def log_message(self, format, *args):  # noqa: A002 - stdlib name
@@ -836,85 +944,17 @@ class HomographRequestHandler(KeepAliveRequestHandler):
 
     server_version = "DomainNetServe/2.0"
 
-    def _accepts_gzip(self) -> bool:
-        """Whether the request advertised ``Accept-Encoding: gzip``.
-
-        Honors q-values: ``gzip;q=0`` is an explicit refusal, not an
-        acceptance.
-        """
-        raw = self.headers.get("Accept-Encoding", "")
-        for token in raw.split(","):
-            name, _, params = token.partition(";")
-            if name.strip().lower() not in ("gzip", "x-gzip"):
-                continue
-            quality = 1.0
-            for param in params.split(";"):
-                key, _, value = param.partition("=")
-                if key.strip().lower() == "q":
-                    try:
-                        quality = float(value.strip())
-                    except ValueError:
-                        quality = 0.0
-            if quality > 0.0:
-                # Any acceptable gzip-family token wins; keep
-                # scanning past refused aliases ('x-gzip;q=0, gzip').
-                return True
-        return False
-
-    def _send_json(
+    def _send_response(
         self,
         status: int,
-        payload: Dict[str, object],
-        extra_headers: Optional[Dict[str, str]] = None,
-        compress: bool = False,
+        headers: Iterable[Tuple[str, str]],
+        body: bytes,
     ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        headers = dict(extra_headers or {})
-        if compress:
-            # Negotiated compression: the uncompressed shape stays
-            # available to clients that did not ask for gzip.
-            headers.setdefault("Vary", "Accept-Encoding")
-            if self._accepts_gzip():
-                buffer = io.BytesIO()
-                # mtime=0 keeps equal payloads byte-identical.
-                with gzip.GzipFile(
-                    fileobj=buffer, mode="wb", mtime=0
-                ) as stream:
-                    stream.write(body)
-                body = buffer.getvalue()
-                headers["Content-Encoding"] = "gzip"
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        # Count before the body write: a client that reads this
+        """Count the response in ``/stats``, then send it."""
+        # Count before the bytes leave: a client that reads this
         # response and immediately asks /stats must see it counted.
         self.server.count(ok=status < 400)
-        self.wfile.write(body)
-
-    def _send_problem(self, problem: _HTTPProblem) -> None:
-        headers = {}
-        if problem.retry_after is not None:
-            headers["Retry-After"] = str(problem.retry_after)
-        if problem.status == 401:
-            headers["WWW-Authenticate"] = "Bearer"
-        # An errored request may leave an unread body on the socket
-        # (auth failures, unknown routes); reusing the connection
-        # would parse those bytes as the next request line.  Close it.
-        self.close_connection = True
-        headers["Connection"] = "close"
-        error: Dict[str, object] = {
-            "status": problem.status,
-            "code": problem.code,
-            "message": problem.message,
-        }
-        if problem.lake is not None:
-            error["lake"] = problem.lake
-        self._send_json(
-            problem.status, {"error": error}, extra_headers=headers
-        )
+        super()._send_response(status, headers, body)
 
     def _read_json_body(self) -> Dict[str, object]:
         """Read and parse the request body, enforcing the size cap."""

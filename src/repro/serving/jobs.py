@@ -227,7 +227,7 @@ class JobManager:
         if record is None:
             raise UnknownJobError(
                 f"no job {job_id!r} (unknown id, or finished more than "
-                f"{self.ttl:.0f}s ago and evicted)"
+                f"{self.ttl:g}s ago and evicted)"
             )
         return self._snapshot(record)
 

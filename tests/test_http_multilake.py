@@ -257,14 +257,17 @@ class TestAsyncJobs:
         assert len(snapshot["response"]["ranking"]) == 2
 
     def test_poll_after_ttl_eviction_is_404(self):
+        # The TTL must outlast wait()'s 0.05 s poll interval: a job
+        # that finished and was evicted between two polls would make
+        # wait() itself raise the 404.
         workspace = two_lake_workspace()
-        server = start_server(workspace, port=0, job_ttl=0.05)
+        server = start_server(workspace, port=0, job_ttl=0.5)
         client = HomographClient(server.url, timeout=30.0)
         try:
             client.wait_ready()
             job_id = client.submit(measure="lcc")
             client.wait(job_id, timeout=30.0)
-            time.sleep(0.2)  # let the TTL lapse
+            time.sleep(0.8)  # let the TTL lapse
             with pytest.raises(ServiceError) as info:
                 client.poll(job_id)
             assert info.value.status == 404

@@ -11,10 +11,16 @@ The contract: 400 malformed request, 401 missing/bad bearer token
 oversized body, 503 + ``Retry-After`` on admission-queue overflow —
 on the namespaced ``/lakes/<name>/...`` routes exactly as on their
 legacy un-prefixed aliases.
+
+The write path is pinned too: back-to-back and pipelined requests on
+one keep-alive connection, to a server and through the router, must
+never wait for the client's delayed ACK.
 """
 
 import http.client
 import json
+import socket
+import statistics
 import threading
 import time
 
@@ -744,3 +750,172 @@ class TestClusterConformance:
         assert set(payload) == {
             "library", "snapshot_format", "python", "numpy", "server",
         }
+
+
+#: Half the ~40 ms Linux delayed-ACK floor: a response that waits for
+#: the client's delayed ACK cannot arrive under it.
+DELAYED_ACK_HALF_S = 0.020
+
+
+def split_response(data):
+    """``(status, end)`` of the first whole response in ``data``.
+
+    ``None`` while ``data`` does not hold a whole response yet.
+    """
+    head_end = data.find(b"\r\n\r\n")
+    if head_end < 0:
+        return None
+    head = data[:head_end].decode("latin-1").split("\r\n")
+    fields = dict(line.lower().split(": ", 1) for line in head[1:])
+    end = head_end + 4 + int(fields["content-length"])
+    if len(data) < end:
+        return None
+    return int(head[0].split()[1]), end
+
+
+def read_responses(sock, count):
+    """Read ``count`` whole responses off a raw socket; their statuses."""
+    buffered, statuses = b"", []
+    while len(statuses) < count:
+        parsed = split_response(buffered)
+        if parsed is not None:
+            statuses.append(parsed[0])
+            buffered = buffered[parsed[1]:]
+            continue
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed early: {buffered!r}"
+        buffered += chunk
+    assert buffered == b"", "bytes past the last response"
+    return statuses
+
+
+class TestResponseWritePath:
+    """Every response leaves in one write on a ``TCP_NODELAY`` socket.
+
+    Headers and body sent in two writes with Nagle on make the second
+    write wait for the client's delayed ACK: ~44 ms per back-to-back
+    keep-alive read, on the server and again on the router.  Nagle
+    alone also holds the second of two pipelined responses until the
+    first is acknowledged.  A fresh connection hides both (Linux ACKs
+    at once at first), so the timed cases run on a warmed connection;
+    the write count pins the single write without a clock.
+    """
+
+    @pytest.fixture(params=["server", "router"])
+    def target(self, request, figure1_lake):
+        from repro.cluster import Replica, ReplicaSet, start_router
+
+        backend = start_server(HomographIndex(figure1_lake), port=0)
+        try:
+            if request.param == "server":
+                yield backend
+                return
+            router = start_router(ReplicaSet([
+                Replica("only", url=backend.url, role="primary"),
+            ]))
+            try:
+                yield router
+            finally:
+                router.drain()
+        finally:
+            backend.drain()
+
+    @pytest.mark.parametrize("path,headers", [
+        ("/healthz", {}),
+        ("/ranking/lcc?limit=5", {"Accept-Encoding": "gzip"}),
+    ], ids=["healthz", "gzip-ranking-page"])
+    def test_back_to_back_keepalive_reads(self, target, path, headers):
+        host, port = target.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30.0)
+        times = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request("GET", path, headers=headers)
+                response = connection.getresponse()
+                response.read()
+                times.append(time.perf_counter() - start)
+                assert response.status == 200
+                assert response.getheader("Content-Encoding") == (
+                    headers.get("Accept-Encoding")
+                )
+        finally:
+            connection.close()
+        assert statistics.median(times) < DELAYED_ACK_HALF_S, times
+
+    def test_pipelined_pair_on_a_warm_connection(self, target):
+        host, port = target.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30.0)
+        request = f"GET /healthz HTTP/1.1\r\nHost: {host}\r\n\r\n"
+        times = []
+        try:
+            for _ in range(5):
+                connection.request("GET", "/healthz")
+                connection.getresponse().read()
+            for _ in range(3):
+                start = time.perf_counter()
+                connection.sock.sendall(request.encode() * 2)
+                assert read_responses(connection.sock, 2) == [200, 200]
+                times.append(time.perf_counter() - start)
+        finally:
+            connection.close()
+        assert statistics.median(times) < DELAYED_ACK_HALF_S, times
+
+    def test_each_response_is_one_write(self, target, monkeypatch):
+        from repro.cluster import ClusterRouter
+        from repro.serving.http import KeepAliveRequestHandler
+
+        writes = []
+        setup = KeepAliveRequestHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            write = handler.wfile.write
+
+            def record(data):
+                writes.append(bytes(data))
+                return write(data)
+
+            handler.wfile.write = record
+
+        monkeypatch.setattr(KeepAliveRequestHandler, "setup", recording_setup)
+        body = json.dumps({"measure": "lcc"}).encode()
+        exchanges = [
+            ("GET", "/healthz", None, {}),
+            ("GET", "/ranking/lcc?limit=5", None,
+             {"Accept-Encoding": "gzip"}),
+            ("POST", "/detect?top=3", body,
+             {"Content-Length": str(len(body))}),
+            ("GET", "/no/such/route", None, {}),   # 404, then close
+        ]
+        host, port = target.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30.0)
+        statuses = []
+        try:
+            for method, path, payload, headers in exchanges:
+                connection.request(method, path, body=payload,
+                                   headers=headers)
+                response = connection.getresponse()
+                response.read()
+                statuses.append(response.status)
+        finally:
+            connection.close()
+        assert statuses == [200, 200, 200, 404]
+        # Through the router each response is written twice: by the
+        # backend to the router, then by the router to the client.
+        hops = 2 if isinstance(target, ClusterRouter) else 1
+        assert len(writes) == hops * len(exchanges)
+        for data in writes:
+            parsed = split_response(data)
+            assert parsed is not None and parsed[1] == len(data), data
+
+    def test_http09_request_gets_the_bare_body(self, target):
+        # HTTP/0.9 has no status line and no headers: the one write
+        # is the body alone, and the connection closes after it.
+        host, port = target.server_address[:2]
+        with socket.create_connection((host, port), timeout=30.0) as raw:
+            raw.sendall(b"GET /healthz\r\n\r\n")
+            received = b""
+            while chunk := raw.recv(65536):
+                received += chunk
+        assert json.loads(received)["status"] == "ok"

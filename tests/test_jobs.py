@@ -159,6 +159,17 @@ class TestTTLEviction:
             manager.get(job_id)
         assert len(manager) == 0
 
+    def test_eviction_message_keeps_subsecond_ttl(self, index):
+        clock = [0.0]
+        manager = JobManager(ttl=0.05, clock=lambda: clock[0])
+        job_id = manager.submit(
+            "zoo", index, DetectRequest(measure="lcc")
+        )
+        wait_terminal(manager, job_id)
+        clock[0] = 1.0
+        with pytest.raises(UnknownJobError, match=r"more than 0\.05s ago"):
+            manager.get(job_id)
+
     def test_unfinished_jobs_are_never_evicted(self, index, gated_measure):
         clock = [0.0]
         manager = JobManager(ttl=1.0, clock=lambda: clock[0])
