@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..core.ranking import HomographRanking, RankedValue
+from ..core.ranking import HomographRanking, RankedValue, splice_rows
 from ..perf.config import ExecutionConfig
 
 #: Serialization schema version, bumped on incompatible layout changes.
@@ -189,6 +189,19 @@ class DetectResponse:
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
+    def _envelope(self) -> Dict[str, object]:
+        """Every field of :meth:`to_dict` but the ranking rows."""
+        return {
+            "schema": SCHEMA_VERSION,
+            "measure": self.measure,
+            "descending": self.descending,
+            "graph_seconds": self.graph_seconds,
+            "measure_seconds": self.measure_seconds,
+            "cached": self.cached,
+            "parameters": dict(self.parameters),
+            "request": self.request.to_dict() if self.request else None,
+        }
+
     def to_dict(self, top: Optional[int] = None) -> Dict[str, object]:
         """JSON-safe representation; inverse of :meth:`from_dict`.
 
@@ -199,20 +212,21 @@ class DetectResponse:
         entries = self.ranking.top(top) if top is not None else list(
             self.ranking
         )
-        return {
-            "schema": SCHEMA_VERSION,
-            "measure": self.measure,
-            "descending": self.descending,
-            "graph_seconds": self.graph_seconds,
-            "measure_seconds": self.measure_seconds,
-            "cached": self.cached,
-            "parameters": dict(self.parameters),
-            "request": self.request.to_dict() if self.request else None,
-            "ranking": [
-                {"rank": e.rank, "value": e.value, "score": e.score}
-                for e in entries
-            ],
-        }
+        payload = self._envelope()
+        payload["ranking"] = [entry.to_dict() for entry in entries]
+        return payload
+
+    def to_json_bytes(self, top: Optional[int] = None) -> bytes:
+        """``json.dumps(self.to_dict(top=top), sort_keys=True)`` as bytes.
+
+        The ranking rows are spliced from the ranking's memo
+        (:meth:`~repro.core.ranking.HomographRanking.encoded_rows`),
+        so a cached response encodes each row once, not once per
+        request.
+        """
+        return splice_rows(
+            self._envelope(), "ranking", self.ranking.encoded_rows(0, top)
+        )
 
     def to_json(self, indent: Optional[int] = None,
                 top: Optional[int] = None) -> str:

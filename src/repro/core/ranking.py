@@ -5,12 +5,26 @@ direction in which "more homograph-like" points: descending for
 betweenness centrality (Hypothesis 3.5), ascending for the local
 clustering coefficient (Hypothesis 3.4).  Ties break lexicographically
 on the value name so rankings are deterministic across runs.
+
+Every JSON body that carries ranking entries (a ``DetectResponse``
+payload, a ranking page) is spliced from rows encoded here, once per
+ranking: :meth:`HomographRanking.encoded_rows` memoizes each entry's
+row text, and :func:`splice_rows` joins a slice of it into the small
+sorted-key envelope.  The bytes equal ``json.dumps(payload,
+sort_keys=True)`` of the ``to_dict`` form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+import math
+import threading
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+
+#: ``json.dumps(obj, sort_keys=True)`` without a new encoder per call.
+_JSON = json.JSONEncoder(sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -20,6 +34,52 @@ class RankedValue:
     rank: int  # 1-based
     value: str
     score: float
+
+    def to_dict(self) -> Dict[str, object]:
+        """The entry's JSON row, as every ranking payload carries it."""
+        return {"rank": self.rank, "value": self.value, "score": self.score}
+
+
+def _encode_row(entry: RankedValue) -> str:
+    """``json.dumps(entry.to_dict(), sort_keys=True)``, written directly.
+
+    A plain finite float prints as ``float.__repr__``, as the json
+    encoder prints it; anything else (``NaN``, ``±Infinity``, a float
+    subclass) goes through the encoder itself.
+    """
+    score = entry.score
+    if type(score) is float and math.isfinite(score):
+        score_text = float.__repr__(score)
+    else:
+        score_text = _JSON.encode(score)
+    return '{"rank": %d, "score": %s, "value": %s}' % (
+        entry.rank, score_text, encode_basestring_ascii(entry.value),
+    )
+
+
+def _join_rows(rows: Sequence[str]) -> str:
+    """The JSON list of already-encoded rows."""
+    return "[" + ", ".join(rows) + "]"
+
+
+def splice_rows(
+    envelope: Mapping[str, object], key: str, rows: str
+) -> bytes:
+    """``json.dumps({**envelope, key: ...}, sort_keys=True)`` as bytes.
+
+    ``rows`` is the already-encoded JSON list stored under ``key``;
+    every other field is encoded here, in sorted-key order, with the
+    separators ``json.dumps`` uses.
+    """
+    fields = sorted(
+        [(name, _JSON.encode(value)) for name, value in envelope.items()]
+        + [(key, rows)]
+    )
+    return (
+        "{"
+        + ", ".join(f"{_JSON.encode(name)}: {text}" for name, text in fields)
+        + "}"
+    ).encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -37,19 +97,42 @@ class RankingPage:
     total: int
     measure: str
     descending: bool
+    #: The ranking the page was cut from, and the offset of its first
+    #: entry there: :meth:`to_json_bytes` splices that ranking's
+    #: encoded rows instead of encoding the entries again.
+    ranking: Optional["HomographRanking"] = field(
+        default=None, repr=False, compare=False
+    )
+    start: int = field(default=0, repr=False, compare=False)
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation (what ``GET /ranking`` returns)."""
+    def _envelope(self) -> Dict[str, object]:
         return {
             "measure": self.measure,
             "descending": self.descending,
             "total": self.total,
             "next_cursor": self.next_cursor,
-            "entries": [
-                {"rank": e.rank, "value": e.value, "score": e.score}
-                for e in self.entries
-            ],
         }
+
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-safe representation (what ``GET /ranking`` returns)."""
+        payload = self._envelope()
+        payload["entries"] = [entry.to_dict() for entry in self.entries]
+        return payload
+
+    def to_json_bytes(self, **extra: object) -> bytes:
+        """``json.dumps({**self.to_dict(), **extra}, sort_keys=True)``.
+
+        UTF-8 bytes, with the entries spliced from the ranking's
+        memoized rows; ``extra`` adds top-level fields (the server's
+        ``cached`` flag).
+        """
+        if self.ranking is None:
+            rows = _join_rows([_encode_row(e) for e in self.entries])
+        else:
+            rows = self.ranking.encoded_rows(
+                self.start, self.start + len(self.entries)
+            )
+        return splice_rows({**self._envelope(), **extra}, "entries", rows)
 
 
 class HomographRanking:
@@ -64,19 +147,32 @@ class HomographRanking:
         descending: bool,
         measure: str,
     ) -> None:
-        self.measure = measure
-        self.descending = descending
         key = (lambda item: (-item[1], item[0])) if descending else (
             lambda item: (item[1], item[0])
         )
         ordered = sorted(scores.items(), key=key)
-        self._entries = [
-            RankedValue(rank=i + 1, value=value, score=float(score))
-            for i, (value, score) in enumerate(ordered)
-        ]
+        self._adopt(
+            [
+                RankedValue(rank=i + 1, value=value, score=float(score))
+                for i, (value, score) in enumerate(ordered)
+            ],
+            descending,
+            measure,
+        )
+
+    def _adopt(
+        self, entries: List[RankedValue], descending: bool, measure: str
+    ) -> None:
+        self.measure = measure
+        self.descending = descending
+        self._entries = entries
         self._by_value: Dict[str, RankedValue] = {
-            entry.value: entry for entry in self._entries
+            entry.value: entry for entry in entries
         }
+        # The JSON rows of the first len(_rows) entries, in rank order;
+        # encoded_rows() grows it under _rows_lock.
+        self._rows: List[str] = []
+        self._rows_lock = threading.Lock()
 
     @classmethod
     def from_entries(
@@ -92,10 +188,7 @@ class HomographRanking:
         must not be re-ranked differently on load).
         """
         ranking = cls.__new__(cls)
-        ranking.measure = measure
-        ranking.descending = descending
-        ranking._entries = list(entries)
-        ranking._by_value = {entry.value: entry for entry in ranking._entries}
+        ranking._adopt(list(entries), descending, measure)
         return ranking
 
     def to_dict(self) -> Dict[str, object]:
@@ -103,11 +196,32 @@ class HomographRanking:
         return {
             "measure": self.measure,
             "descending": self.descending,
-            "entries": [
-                {"rank": e.rank, "value": e.value, "score": e.score}
-                for e in self._entries
-            ],
+            "entries": [entry.to_dict() for entry in self._entries],
         }
+
+    def encoded_rows(self, start: int = 0, stop: Optional[int] = None) -> str:
+        """The JSON list of entries ``[start:stop]``, as ``json.dumps``.
+
+        Each row is encoded once per ranking and kept: the memo grows
+        lazily, under a lock, up to the highest row any caller has
+        needed, so later pages and exports of the same (cached)
+        ranking are joins of rows already encoded.  ``stop=None``
+        means the end of the ranking.
+        """
+        if start < 0 or (stop is not None and stop < start):
+            raise ValueError(f"invalid row range [{start}:{stop}]")
+        size = len(self._entries)
+        stop = size if stop is None else min(stop, size)
+        if len(self._rows) < stop:
+            with self._rows_lock:
+                done = len(self._rows)
+                if done < stop:
+                    # One extend of a finished list: readers outside
+                    # the lock never see a partly encoded row.
+                    self._rows.extend(
+                        [_encode_row(e) for e in self._entries[done:stop]]
+                    )
+        return _join_rows(self._rows[start:stop])
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "HomographRanking":
@@ -179,7 +293,12 @@ class HomographRanking:
         if cursor is None:
             start = 0
         else:
-            if not isinstance(cursor, str) or not cursor.isdigit():
+            # ASCII digits only: str.isdigit() also admits '١' or '²'.
+            if not (
+                isinstance(cursor, str)
+                and cursor.isascii()
+                and cursor.isdigit()
+            ):
                 raise ValueError(f"invalid ranking cursor {cursor!r}")
             start = int(cursor)
             if start > len(self._entries):
@@ -196,6 +315,8 @@ class HomographRanking:
             total=len(self._entries),
             measure=self.measure,
             descending=self.descending,
+            ranking=self,
+            start=start,
         )
 
     def rank_of(self, value: str) -> Optional[int]:

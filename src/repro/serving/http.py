@@ -807,7 +807,19 @@ class KeepAliveRequestHandler(BaseHTTPRequestHandler):
         compress: bool = False,
     ) -> None:
         """Send ``payload`` as JSON, gzip'd if ``compress`` and accepted."""
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self._send_body(
+            status, json.dumps(payload, sort_keys=True).encode("utf-8"),
+            extra_headers, compress,
+        )
+
+    def _send_body(
+        self,
+        status: int,
+        body: bytes,
+        extra_headers: Optional[Dict[str, str]] = None,
+        compress: bool = False,
+    ) -> None:
+        """Send encoded JSON ``body``, gzip'd if ``compress`` and accepted."""
         headers = {"Content-Type": "application/json"}
         headers.update(extra_headers or {})
         if compress:
@@ -1492,7 +1504,7 @@ class HomographRequestHandler(KeepAliveRequestHandler):
                 lake_name, index, request, top
             )
         response = self._detect(lake_name, index, request)
-        self._send_json(200, response.to_dict(top=top))
+        self._send_body(200, response.to_json_bytes(top=top))
 
     def _handle_detect_async(
         self,
@@ -1564,9 +1576,9 @@ class HomographRequestHandler(KeepAliveRequestHandler):
             raise _HTTPProblem(
                 400, "invalid-paging", str(error)
             ) from None
-        payload = page.to_dict()
-        payload["cached"] = response.cached
-        self._send_json(200, payload, compress=True)
+        self._send_body(
+            200, page.to_json_bytes(cached=response.cached), compress=True
+        )
 
     def _handle_oplog(self, lake_name: str, query) -> None:
         """``GET /oplog?since=N``: the lake's recorded mutation tail.

@@ -245,6 +245,7 @@ class TestPagingValidation:
         "cursor=bogus", "cursor=-3", "cursor=1.5",
         "limit=0", "limit=-1", "limit=abc", "limit=999999",
         "cursor=99999",  # past the end of the ranking
+        "cursor=%D9%A1",  # '\u0661', a non-ASCII digit
     ])
     def test_bad_paging_parameters_are_400(self, served, query):
         server, _ = served

@@ -95,9 +95,16 @@ class TestPagination:
         page = ranking.page(cursor=str(len(ranking)), limit=2)
         assert page.entries == [] and page.next_cursor is None
 
-    @pytest.mark.parametrize("cursor", ["x", "-1", "1.5", "", "999"])
+    @pytest.mark.parametrize("cursor", [
+        "x", "-1", "1.5", "", "999",
+        "\u0661",   # Arabic-Indic one: a digit, but not ASCII
+        "\u00b2",   # superscript two: isdigit(), but int() rejects it
+    ])
     def test_bad_cursor_rejected(self, scores, cursor):
-        with pytest.raises(ValueError):
+        wording = "past the end" if cursor == "999" else (
+            "invalid ranking cursor"
+        )
+        with pytest.raises(ValueError, match=wording):
             rank_by_betweenness(scores).page(cursor=cursor)
 
     @pytest.mark.parametrize("limit", [0, -2])

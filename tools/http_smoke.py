@@ -134,9 +134,75 @@ def drive(client, tus_size: int, sb_size: int) -> None:
           f"jobs={stats['jobs']}")
 
 
+def check_body_bytes(server, index, lake: str, request) -> None:
+    """Raw response bytes equal the in-process ``json.dumps`` bytes.
+
+    Over one keep-alive connection, with no ``Accept-Encoding``, fetch
+    a full ``POST /detect`` export and a cursor walk of ``GET
+    /ranking`` pages, twice: the first pass fills the cached ranking's
+    memo of encoded rows, the second is served from it.  Every body
+    must equal ``json.dumps(..., sort_keys=True)`` of the in-process
+    answer — ``DetectResponse.to_dict()`` for the export,
+    ``RankingPage.to_dict()`` plus ``cached`` for each page.
+    """
+    import http.client
+    import urllib.parse
+
+    def dumps(payload) -> bytes:
+        return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+    expected = index.detect(request)    # cached from here on
+    params = {
+        name: value
+        for name, value in request.to_dict().items()
+        if name in ("sample_size", "seed") and value is not None
+    }
+    limit = 500
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=120.0)
+
+    def fetch(method: str, target: str, body=None) -> bytes:
+        connection.request(method, target, body=body)
+        reply = connection.getresponse()
+        raw = reply.read()
+        assert reply.status == 200, (target, reply.status, raw[:200])
+        assert reply.getheader("Content-Encoding") is None, target
+        return raw
+
+    pages = 0
+    try:
+        for _ in range(2):
+            raw = fetch("POST", f"/lakes/{lake}/detect",
+                        json.dumps(request.to_dict()).encode("utf-8"))
+            assert raw == dumps(index.detect(request).to_dict()), (
+                "export bytes diverged from json.dumps"
+            )
+            cursor = None
+            while True:
+                query = {**params, "limit": limit}
+                if cursor is not None:
+                    query["cursor"] = cursor
+                raw = fetch("GET", f"/lakes/{lake}/ranking/"
+                            f"{request.measure}?"
+                            + urllib.parse.urlencode(query))
+                page = expected.ranking.page(cursor, limit)
+                assert raw == dumps({**page.to_dict(), "cached": True}), (
+                    f"page bytes diverged from json.dumps at {cursor}"
+                )
+                pages += 1
+                cursor = page.next_cursor
+                if cursor is None:
+                    break
+    finally:
+        connection.close()
+    print(f"byte check on {lake!r}: 2 exports and {pages} pages equal "
+          f"the in-process json.dumps bytes")
+
+
 def scenario_multilake() -> None:
     """The original smoke: two lakes, one pool, drive and drain."""
     from repro import (
+        DetectRequest,
         ExecutionConfig,
         HomographClient,
         Workspace,
@@ -166,6 +232,10 @@ def scenario_multilake() -> None:
             tus_size=len(tus_dataset.lake),
             sb_size=len(sb_dataset.lake),
         )
+        check_body_bytes(
+            server, workspace.get("tus"), "tus",
+            DetectRequest(measure="betweenness", sample_size=60, seed=7),
+        )
     finally:
         server.drain()
     assert workspace.closed
@@ -175,6 +245,7 @@ def scenario_snapshot() -> None:
     """The persistence smoke: snapshot, serve, kill, restart, verify."""
     from repro import (
         DataLake,
+        DetectRequest,
         HomographClient,
         HomographIndex,
         Table,
@@ -239,6 +310,12 @@ def scenario_snapshot() -> None:
             assert job["state"] == "done", job
             assert job["response"]["measure"] == "lcc", job
             print("finished job survived the restart")
+            # The warm ranking was loaded from the snapshot: its row
+            # memo starts empty and fills from the first fetch.
+            check_body_bytes(
+                server, workspace.get("tus"), "tus",
+                DetectRequest(measure="lcc"),
+            )
             tus_client = HomographClient(
                 server.url, timeout=120.0, lake="tus"
             )
