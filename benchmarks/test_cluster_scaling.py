@@ -90,7 +90,7 @@ class TestClusterScaling:
 
             # Parity oracle: a mutation chain through the router
             # converges every member to byte-identical rankings.
-            client = HomographClient(router.url, timeout=30.0)
+            client = HomographClient(router.url, timeout=30.0).lake("sb")
             client.add_table(Table.from_columns(
                 "B1", {"A": ["Jaguar", "Kestrel"], "B": ["1", "2"]}
             ))
@@ -108,7 +108,7 @@ class TestClusterScaling:
                     (entry.rank, entry.value, entry.score)
                     for entry in HomographClient(
                         replica.url, timeout=30.0
-                    ).iter_ranking("lcc")
+                    ).lake("sb").iter_ranking("lcc")
                 ]
                 for replica in supervisor.replicas
             ]

@@ -66,8 +66,7 @@ def main() -> None:
         client.wait_ready()
 
         listing = client.lakes()
-        print(f"lakes: {[lake['name'] for lake in listing['lakes']]} "
-              f"(default: {listing['default']})")
+        print(f"lakes: {[lake['name'] for lake in listing['lakes']]}")
 
         zoo, cars = client.lake("zoo"), client.lake("cars")
         first = zoo.detect(measure="betweenness")

@@ -141,7 +141,7 @@ from .cluster import (
     start_cluster,
 )
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "BipartiteGraph",

@@ -17,14 +17,37 @@ two measures.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..core.betweenness import ENDPOINT_MODES
+from ..core.lcc import LCC_VARIANTS
 from ..core.ranking import HomographRanking, RankedValue, splice_rows
 from ..perf.config import ExecutionConfig
 
 #: Serialization schema version, bumped on incompatible layout changes.
 SCHEMA_VERSION = 1
+
+
+def _check_count(name: str, value: object, minimum: int) -> None:
+    """``value`` must be ``None`` or an integer ``>= minimum``.
+
+    numpy integers pass; ``bool`` does not, though it is an ``int``.
+    """
+    if value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def _check_choice(name: str, value: object, choices: Tuple) -> None:
+    if value not in choices:
+        raise ValueError(
+            f"unknown {name} {value!r}; expected one of {choices}"
+        )
 
 
 def _hashable_option(value: object) -> object:
@@ -55,11 +78,11 @@ class DetectRequest:
         Registered measure name (``"betweenness"``, ``"lcc"``, or any
         third-party registration).
     sample_size:
-        Betweenness only: number of sampled sources for approximate BC;
-        ``None`` computes exactly.  The paper finds ~1% of nodes
-        sufficient (§5.4).
+        Betweenness only: number of sampled sources (an integer >= 1)
+        for approximate BC; ``None`` computes exactly.  The paper finds
+        ~1% of nodes sufficient (§5.4).
     seed:
-        RNG seed for the sampled approximation.
+        RNG seed (an integer >= 0) for the sampled approximation.
     lcc_variant:
         LCC only: ``"attribute-jaccard"`` (paper implementation) or
         ``"value-neighbors"`` (literal Eq. 1).
@@ -79,6 +102,10 @@ class DetectRequest:
         can be served from a cached serial result and vice versa, and
         identical requests differing only in execution coalesce into
         one in-flight computation on a serving index.
+
+    The built-in fields are checked on construction: a bad type
+    raises :class:`TypeError`, a bad value :class:`ValueError`.
+    ``options`` are checked by the measure that reads them.
     """
 
     measure: str = "betweenness"
@@ -99,9 +126,18 @@ class DetectRequest:
             sorted((str(k), _hashable_option(v)) for k, v in pairs)
         )
         object.__setattr__(self, "options", normalized)
+        _check_count("sample_size", self.sample_size, 1)
+        _check_count("seed", self.seed, 0)
+        _check_choice("lcc_variant", self.lcc_variant, LCC_VARIANTS)
+        _check_choice("endpoints", self.endpoints, ENDPOINT_MODES)
         if isinstance(self.execution, Mapping):
             object.__setattr__(
                 self, "execution", ExecutionConfig.from_dict(self.execution)
+            )
+        elif not isinstance(self.execution, (ExecutionConfig, type(None))):
+            raise TypeError(
+                f"execution must be a mapping or an ExecutionConfig, "
+                f"got {self.execution!r}"
             )
 
     def option(self, name: str, default: object = None) -> object:
@@ -144,7 +180,6 @@ class DetectRequest:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "DetectRequest":
         """Rebuild a request from :meth:`to_dict` output."""
-        execution = payload.get("execution")
         return cls(
             measure=str(payload.get("measure", "betweenness")),
             sample_size=payload.get("sample_size"),
@@ -152,9 +187,7 @@ class DetectRequest:
             lcc_variant=str(payload.get("lcc_variant", "attribute-jaccard")),
             endpoints=str(payload.get("endpoints", "all")),
             options=payload.get("options") or (),
-            execution=(
-                ExecutionConfig.from_dict(execution) if execution else None
-            ),
+            execution=payload.get("execution") or None,
         )
 
 

@@ -19,8 +19,7 @@ export, score cache, and incremental mutation surface::
     workspace.get("cars").detect(measure="lcc")         # same pool
     workspace.close()   # closes every index, then the one pool
 
-The first attached lake is the *default* lake — the one legacy
-un-prefixed HTTP routes resolve to.  ``detach`` closes an index and
+Every lake is addressed by its name.  ``detach`` closes an index and
 releases its export without disturbing siblings; ``close`` (or a
 ``with`` block) drains everything and finally tears the shared backend
 down.  All methods are thread-safe.
@@ -251,9 +250,9 @@ class Workspace:
         The index keeps whatever execution machinery it was built
         with (it does *not* join the shared pool); the workspace takes
         over its lifecycle — ``detach``/``close`` will close it.  This
-        is the adoption path the HTTP server uses for the legacy
-        single-index constructor.  ``quota`` pins the lake's admission
-        quota, as :meth:`attach` documents.
+        is how an embedder serves an index it built itself.
+        ``quota`` pins the lake's admission quota, as :meth:`attach`
+        documents.
         """
         validate_lake_name(name)
         validate_lake_quota(quota)
@@ -327,17 +326,6 @@ class Workspace:
         with self._lock:
             return tuple(self._indexes)
 
-    @property
-    def default_name(self) -> Optional[str]:
-        """The first attached lake's name (legacy-route target)."""
-        with self._lock:
-            return next(iter(self._indexes), None)
-
-    def default_index(self) -> Optional[HomographIndex]:
-        """The first attached lake's index, or ``None`` when empty."""
-        with self._lock:
-            return next(iter(self._indexes.values()), None)
-
     def __len__(self) -> int:
         """Number of attached lakes."""
         with self._lock:
@@ -373,10 +361,8 @@ class Workspace:
             quotas = dict(self._quotas)
             backend = self._backend
             closed = self._closed
-            default = next(iter(self._indexes), None)
         return {
             "lakes": {name: index.stats() for name, index in members},
-            "default_lake": default,
             "closed": closed,
             "quotas": quotas,
             "pool": backend_stats(

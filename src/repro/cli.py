@@ -97,8 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("directories", nargs="*", metavar="DIR",
                        help="directories of *.csv tables; each mounts as "
-                            "a lake named after its basename (first one "
-                            "is the default lake)")
+                            "a lake named after its basename")
     serve.add_argument("--lake", action="append", default=None,
                        metavar="NAME=DIR",
                        help="mount DIR as the lake NAME (repeatable; "
@@ -454,11 +453,10 @@ def _lake_name_from_directory(directory: str, taken) -> str:
 def _serve_mounts(args) -> Optional[List]:
     """Resolve the serve command's ``(name, directory)`` mount list.
 
-    Positional directories mount first (under their basenames) so
-    the first positional directory is the default lake, exactly as
-    the ``DIR`` help text promises; ``--lake NAME=DIR`` entries
-    follow, under their explicit names.  Returns ``None`` (with a
-    message on stderr) when the flags are unusable.
+    Positional directories mount first (under their basenames);
+    ``--lake NAME=DIR`` entries follow, under their explicit names.
+    Returns ``None`` (with a message on stderr) when the flags are
+    unusable.
     """
     mounts: List = []
     taken = set()

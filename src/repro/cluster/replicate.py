@@ -3,10 +3,10 @@
 Replication in this stack is *replay from artifact*: a replica loads
 the same published snapshot the primary serves (PR 6), then converges
 onto the primary's live state by replaying the primary's recorded
-mutations through the ordinary ``POST /tables`` / ``DELETE
-/tables/<t>`` routes — which run the delta-aware splice path (PR 7)
-whose bit-exact parity with a full rebuild is the correctness oracle.
-Two pieces implement it:
+mutations through the ordinary ``POST /lakes/<name>/tables`` /
+``DELETE /lakes/<name>/tables/<t>`` routes — which run the
+delta-aware splice path whose bit-exact parity with a full rebuild
+is the correctness oracle.  Two pieces implement it:
 
 * :class:`MutationLog` — the primary-side oplog.  A JSONL file next
   to the snapshot (``<snapshot>/oplog.jsonl``), one fsync'd line per
@@ -18,11 +18,11 @@ Two pieces implement it:
   ``HomographHTTPServer``'s ``oplogs`` option) so log order equals
   application order.
 * :class:`OplogFollower` — the replica-side sync loop step.  Polls
-  the primary's ``GET /oplog?since=<applied>`` and replays each entry
-  onto the replica via its mutation routes.  Replay is idempotent
-  (a re-delivered ``add`` of an existing table, or ``remove`` of a
-  missing one, counts as already applied), so a crash between apply
-  and acknowledge cannot wedge the sync.
+  the primary's ``GET /lakes/<name>/oplog?since=<applied>`` and
+  replays each entry onto the replica via its mutation routes.
+  Replay is idempotent (a re-delivered ``add`` of an existing table,
+  or ``remove`` of a missing one, counts as already applied), so a
+  crash between apply and acknowledge cannot wedge the sync.
 
 The oplog is intentionally *not* a write-ahead log: the primary
 appends after the mutation is applied, under the same lock.  A crash
@@ -228,7 +228,7 @@ class MutationLog:
             return out
 
     def read_since(self, since: int = 0) -> Dict[str, object]:
-        """The ``GET /oplog`` response payload for ``?since=N``."""
+        """The ``GET /lakes/<name>/oplog?since=N`` response payload."""
         with self._lock:
             return {
                 "epoch": self._epoch,
@@ -289,11 +289,11 @@ class OplogFollower:
     """Replays a primary lake's oplog onto one replica, over HTTP.
 
     One follower per (replica, lake).  Each :meth:`sync_once` polls
-    the primary's ``GET /oplog?since=<applied>`` and replays the
-    returned entries onto the replica through its ordinary mutation
-    routes — server-side those run the delta-aware splice path, so
-    after a drained sync the replica's rankings are byte-identical to
-    the primary's (PR 7's parity guarantee).
+    the primary's ``GET /lakes/<name>/oplog?since=<applied>`` and
+    replays the returned entries onto the replica through its
+    ordinary mutation routes — server-side those run the delta-aware
+    splice path, so after a drained sync the replica's rankings are
+    byte-identical to the primary's (the splice's parity guarantee).
 
     An epoch change (the primary republished its snapshot, or
     restarted onto a fresh one) resets ``applied_seq`` and reports

@@ -7,17 +7,19 @@ the *identical* wire protocol — existing :class:`HomographClient`
 instances and ``repro.bench.loadgen`` drive it unchanged.  Routing
 policy:
 
-* **Reads** (``POST /detect``, ``GET /ranking``, lake/stats/health
-  GETs) load-balance across healthy replicas: least-in-flight first,
-  round-robin among ties.  A read that dies on a replica mid-flight
-  (connection refused/reset — the replica was killed) is
-  transparently retried **once** on a different healthy replica; the
-  failed replica is passively marked unhealthy for the supervisor to
-  heal.
-* **Writes** (``POST``/``DELETE`` on ``/tables`` and ``/lakes``) pin
-  to the **primary** — the one replica recording the oplog — so
-  there is a single mutation order for replicas to replay.
-* **Jobs**: a 202 from an async ``/detect`` records which replica
+* **Reads** (``detect`` and ``ranking`` under ``/lakes/<name>/``,
+  lake/stats/health GETs) load-balance across healthy replicas:
+  least-in-flight first, round-robin among ties.  A read that dies
+  on a replica mid-flight (connection refused/reset — the replica
+  was killed) is transparently retried **once** on a different
+  healthy replica; the failed replica is passively marked unhealthy
+  for the supervisor to heal.
+* **Writes** (``POST``/``DELETE`` on ``/lakes`` and
+  ``/lakes/<name>/tables``) pin to the **primary** — the one replica
+  recording the oplog — so there is a single mutation order for
+  replicas to replay.  The oplog feed (``GET /lakes/<name>/oplog``)
+  pins there too: no other replica records one.
+* **Jobs**: a 202 from an async ``detect`` records which replica
   accepted it, and later ``/jobs/<id>`` polls stick to that replica
   (only it knows the job).  Unknown job ids fall back to the primary.
 * A fleet with no healthy target answers a structured 503
@@ -431,17 +433,16 @@ class RouterRequestHandler(KeepAliveRequestHandler):
 
     @staticmethod
     def _classify(method: str, segments: List[str]) -> str:
-        """``"write"``, ``"job"``, or ``"read"`` for one request."""
+        """``"primary"``, ``"job"``, or ``"read"`` for one request."""
         if segments[:1] == ["jobs"] and len(segments) == 2:
             return "job"
-        if method in ("POST", "DELETE"):
-            if segments[:1] == ["tables"]:
-                return "write"
-            if segments[:1] == ["lakes"]:
-                if len(segments) <= 2:
-                    return "write"  # mount / unmount
-                if segments[2] == "tables":
-                    return "write"
+        if segments[:1] == ["lakes"]:
+            if method in ("POST", "DELETE") and (
+                len(segments) <= 2 or segments[2] == "tables"
+            ):
+                return "primary"  # mount / unmount / table mutation
+            if method == "GET" and segments[2:] == ["oplog"]:
+                return "primary"  # only the primary records one
         return "read"
 
     def _read_body(self) -> Optional[bytes]:
@@ -494,7 +495,7 @@ class RouterRequestHandler(KeepAliveRequestHandler):
             # the client ever saw.
             method == "POST" and segments and segments[-1] == "detect"
         )
-        if kind == "write":
+        if kind == "primary":
             primary = replicas.primary
             if not primary.healthy or not primary.url:
                 raise self._no_healthy_replica("the primary is down")

@@ -31,7 +31,8 @@ from .graph import BipartiteGraph, frontier_edges
 if TYPE_CHECKING:  # pragma: no cover - hints only, avoids import cycle
     from ..perf.config import ExecutionConfig
 
-_ENDPOINT_MODES = ("all", "values")
+#: The endpoint modes :func:`betweenness_scores` accepts.
+ENDPOINT_MODES = ("all", "values")
 
 
 def betweenness_scores(
@@ -89,10 +90,10 @@ def betweenness_scores(
         "values"`` attribute nodes still receive scores (they can lie on
         paths between values) but never act as endpoints.
     """
-    if endpoints not in _ENDPOINT_MODES:
+    if endpoints not in ENDPOINT_MODES:
         raise ValueError(
             f"unknown endpoints mode {endpoints!r}; "
-            f"expected one of {_ENDPOINT_MODES}"
+            f"expected one of {ENDPOINT_MODES}"
         )
     if strategy not in ("uniform", "degree"):
         raise ValueError(

@@ -34,7 +34,8 @@ from .graph import BipartiteGraph, value_neighbors_csr
 if TYPE_CHECKING:  # pragma: no cover - hints only, avoids import cycle
     from ..perf.config import ExecutionConfig
 
-_VARIANTS = ("attribute-jaccard", "value-neighbors")
+#: The LCC variants :func:`lcc_scores` computes.
+LCC_VARIANTS = ("attribute-jaccard", "value-neighbors")
 
 
 def lcc_scores(
@@ -52,9 +53,10 @@ def lcc_scores(
     processes and stitch back deterministically (bit-exact for every
     backend and chunking).
     """
-    if variant not in _VARIANTS:
+    if variant not in LCC_VARIANTS:
         raise ValueError(
-            f"unknown LCC variant {variant!r}; expected one of {_VARIANTS}"
+            f"unknown LCC variant {variant!r}; "
+            f"expected one of {LCC_VARIANTS}"
         )
     from ..perf.backends import backend_scope
 

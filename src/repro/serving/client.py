@@ -6,24 +6,25 @@ convenience wrapper used by the examples, the smoke job, and the
 end-to-end tests.  It deliberately has no dependencies beyond the
 stdlib — a deployment can copy the one file next to its own code.
 
-Typical round trip::
+Every lake-level call goes through a *lake handle*, which scopes it
+to one named lake's ``/lakes/<name>/...`` routes; jobs run detections
+asynchronously::
 
     from repro.serving.client import HomographClient
 
     client = HomographClient(server.url, token="s3cret")
     client.wait_ready()
-    response = client.detect(measure="betweenness")      # DetectResponse
-    for entry in client.iter_ranking("lcc", limit=500):  # RankedValue
+    tus = client.lake("tus")
+    response = tus.detect(measure="betweenness")      # DetectResponse
+    for entry in tus.iter_ranking("lcc", limit=500):  # RankedValue
         ...
-
-Multi-lake servers expose named lakes; a *lake handle* scopes every
-call to one of them, and jobs run detections asynchronously::
-
-    tus = client.lake("tus")                  # /lakes/tus/... routes
-    tus.detect(measure="lcc")
     job_id = tus.submit(measure="betweenness")
-    client.poll(job_id)["state"]              # queued/running/done/error
-    response = client.wait(job_id)            # blocks; DetectResponse
+    tus.poll(job_id)["state"]                 # queued/running/done/error
+    response = tus.wait(job_id)               # blocks; DetectResponse
+
+The client itself speaks only the service-wide routes (``/healthz``,
+``/stats``, ``/version``, ``/lakes``, ``/jobs/<id>``); a lake-level
+call on it raises :class:`TypeError` and sends nothing.
 
 Failures come back as :class:`ServiceError` carrying the server's
 structured error payload (``status``, ``code``, ``message``, and the
@@ -44,6 +45,7 @@ thread-safe: give each worker thread its own.
 
 from __future__ import annotations
 
+import copy
 import gzip
 import http.client
 import json
@@ -232,12 +234,6 @@ class HomographClient:
     token:
         Bearer token sent as ``Authorization: Bearer <token>`` on
         every request, for servers started with an auth token.
-    lake:
-        Scope every lake-level call (``detect``, ``ranking_page``,
-        ``add_table``, ``submit``, ``stats``...) to this named lake
-        via the ``/lakes/<name>/...`` routes.  ``None`` (default)
-        uses the legacy un-prefixed routes, i.e. the server's default
-        lake.  Prefer :meth:`lake` to construct scoped handles.
     keep_alive:
         Reuse one persistent HTTP/1.1 connection across requests
         (reconnecting when the server closes it) instead of opening a
@@ -259,28 +255,23 @@ class HomographClient:
         base_url: str,
         timeout: float = 60.0,
         token: Optional[str] = None,
-        lake: Optional[str] = None,
         keep_alive: bool = False,
         retry_overloaded: int = 0,
         retry_backoff: Optional[float] = None,
-        _transport: Optional[_KeepAliveTransport] = None,
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.token = token
-        self.lake_name = lake
+        #: The lake a handle from :meth:`lake` is scoped to, else None.
+        self.lake_name: Optional[str] = None
         self.keep_alive = keep_alive
         self.retry_overloaded = retry_overloaded
         self.retry_backoff = retry_backoff
-        self._prefix = (
-            f"/lakes/{urllib.parse.quote(lake, safe='')}" if lake else ""
+        self._prefix = ""
+        self._transport: Optional[_KeepAliveTransport] = (
+            _KeepAliveTransport(self.base_url, timeout)
+            if keep_alive else None
         )
-        if _transport is not None:
-            self._transport: Optional[_KeepAliveTransport] = _transport
-        elif keep_alive:
-            self._transport = _KeepAliveTransport(self.base_url, timeout)
-        else:
-            self._transport = None
 
     def lake(self, name: str) -> "HomographClient":
         """A handle scoped to one named lake (``/lakes/<name>/...``).
@@ -293,16 +284,10 @@ class HomographClient:
             tus = client.lake("tus")
             tus.detect(measure="betweenness")     # POST /lakes/tus/detect
         """
-        return type(self)(
-            self.base_url,
-            timeout=self.timeout,
-            token=self.token,
-            lake=name,
-            keep_alive=self.keep_alive,
-            retry_overloaded=self.retry_overloaded,
-            retry_backoff=self.retry_backoff,
-            _transport=self._transport,
-        )
+        handle = copy.copy(self)
+        handle.lake_name = name
+        handle._prefix = f"/lakes/{urllib.parse.quote(name, safe='')}"
+        return handle
 
     def close(self) -> None:
         """Close the persistent connection (no-op without keep-alive).
@@ -445,7 +430,16 @@ class HomographClient:
         )
 
     def _scoped(self, path: str) -> str:
-        """Apply the lake prefix to a lake-level route."""
+        """Apply the lake prefix, if any (``/healthz``, ``/stats``)."""
+        return self._prefix + path
+
+    def _lake_path(self, path: str) -> str:
+        """A lake-only route on this handle's lake, else TypeError."""
+        if not self._prefix:
+            raise TypeError(
+                f"{path} is a lake-level route; call it on a handle "
+                f"from client.lake(name)"
+            )
         return self._prefix + path
 
     # ------------------------------------------------------------------
@@ -499,18 +493,18 @@ class HomographClient:
         return self._request("GET", "/version")
 
     def oplog(self, since: int = 0) -> Dict[str, object]:
-        """``GET /oplog?since=N`` — the served lake's mutation tail.
+        """``GET /lakes/<name>/oplog?since=N`` — the lake's mutation tail.
 
         Returns ``{"epoch", "last_seq", "entries", "lake"}``; raises
         :class:`ServiceError` with code ``no-oplog`` (404) when the
         server does not record one for this lake.
         """
         return self._request(
-            "GET", self._scoped("/oplog"), query={"since": since}
+            "GET", self._lake_path("/oplog"), query={"since": since}
         )
 
     def stats(self) -> Dict[str, object]:
-        """``GET /stats`` — index counters plus the ``http`` block.
+        """``GET /stats`` — per-lake, workspace, jobs and http blocks.
 
         On a lake handle: that lake's ``GET /lakes/<name>/stats``
         snapshot instead.
@@ -518,7 +512,7 @@ class HomographClient:
         return self._request("GET", self._scoped("/stats"))
 
     def lakes(self) -> Dict[str, object]:
-        """``GET /lakes`` — the mounted lakes and the default name."""
+        """``GET /lakes`` — the mounted lakes."""
         return self._request("GET", "/lakes")
 
     def mount_lake(
@@ -559,17 +553,17 @@ class HomographClient:
         top: Optional[int] = None,
         **overrides,
     ) -> DetectResponse:
-        """``POST /detect`` — mirrors :meth:`HomographIndex.detect`.
+        """``POST /lakes/<name>/detect`` — :meth:`HomographIndex.detect`.
 
         Accepts a :class:`DetectRequest`, keyword overrides on top of
         one, or keywords alone; returns the parsed
         :class:`DetectResponse` (``top`` truncates the ranking
         server-side).
         """
+        path = self._lake_path("/detect")
         request = self._coerce(request, overrides)
         payload = self._request(
-            "POST", self._scoped("/detect"), payload=request.to_dict(),
-            query={"top": top},
+            "POST", path, payload=request.to_dict(), query={"top": top},
         )
         return DetectResponse.from_dict(payload)
 
@@ -591,17 +585,16 @@ class HomographClient:
         request: Optional[DetectRequest] = None,
         **overrides,
     ) -> str:
-        """``POST /detect?async=1`` — queue a detection, return job id.
+        """``POST /lakes/<name>/detect?async=1`` — queue, return job id.
 
         The job runs server-side on the index's dispatcher and the
         shared pool; poll it with :meth:`poll` or block with
         :meth:`wait`.
         """
+        path = self._lake_path("/detect")
         request = self._coerce(request, overrides)
         payload = self._request(
-            "POST", self._scoped("/detect"),
-            payload=request.to_dict(),
-            query={"async": 1},
+            "POST", path, payload=request.to_dict(), query={"async": 1},
         )
         return str(payload["job"])
 
@@ -657,7 +650,7 @@ class HomographClient:
         limit: int = 100,
         **params,
     ) -> Dict[str, object]:
-        """``GET /ranking/<measure>`` — one page of the ranking.
+        """``GET /lakes/<name>/ranking/<measure>`` — one ranking page.
 
         Returns the raw page payload (``entries``, ``next_cursor``,
         ``total``, ``measure``, ``descending``, ``cached``).  Extra
@@ -670,7 +663,7 @@ class HomographClient:
         measure_segment = urllib.parse.quote(measure, safe="")
         return self._request(
             "GET",
-            self._scoped(f"/ranking/{measure_segment}"),
+            self._lake_path(f"/ranking/{measure_segment}"),
             query=query,
             headers={"Accept-Encoding": "gzip"},
         )
@@ -686,6 +679,12 @@ class HomographClient:
         Follows ``next_cursor`` until exhaustion; each yielded item is
         a :class:`RankedValue`.
         """
+        self._lake_path("/ranking")  # fail at the call, not the walk
+        return self._walk_ranking(measure, limit, params)
+
+    def _walk_ranking(
+        self, measure: str, limit: int, params: Dict
+    ) -> Iterator[RankedValue]:
         cursor: Optional[str] = None
         while True:
             page = self.ranking_page(
@@ -705,23 +704,26 @@ class HomographClient:
     # Lake mutation
     # ------------------------------------------------------------------
     def add_table(self, table: Table) -> Dict[str, object]:
-        """``POST /tables`` — add one table to the served lake."""
+        """``POST /lakes/<name>/tables`` — add one table to the lake."""
+        path = self._lake_path("/tables")
         columns = {
             column.name: list(column.values)
             for column in table.iter_columns()
         }
         return self._request(
-            "POST", self._scoped("/tables"),
+            "POST", path,
             payload={"name": table.name, "columns": columns},
         )
 
     def remove_table(self, name: str) -> Dict[str, object]:
-        """``DELETE /tables/<name>`` — drop one table from the lake.
+        """``DELETE /lakes/<name>/tables/<t>`` — drop one table.
 
         The name travels as one path segment (``safe=""`` quoting),
         so table names containing ``/`` or spaces round-trip.
         """
         return self._request(
             "DELETE",
-            self._scoped(f"/tables/{urllib.parse.quote(name, safe='')}"),
+            self._lake_path(
+                f"/tables/{urllib.parse.quote(name, safe='')}"
+            ),
         )

@@ -11,7 +11,7 @@ Endpoints (all JSON; errors come back as
 ``{"error": {"status", "code", "message"}}``):
 
 ``GET /lakes``
-    The mounted lakes: name, table count, and which is the default.
+    The mounted lakes: name, table count, and whether it is closed.
 ``POST /lakes`` / ``DELETE /lakes/<name>``
     Runtime mount/unmount.  The POST body is ``{"name": ...,
     "path": ...}`` where ``path`` is a CSV directory or a snapshot
@@ -43,10 +43,9 @@ Endpoints (all JSON; errors come back as
     synchronous route returns) or best-effort-cancel an async job.
     Finished jobs are evicted after a TTL; polling later is 404.
 ``GET /healthz`` / ``GET /stats``
-    Service liveness (503 once draining) and a merged snapshot: the
-    default lake's counters at the top level (legacy shape), plus
-    ``lakes`` (per-lake cache/pool/admission), ``workspace`` (shared
-    pool) and ``jobs`` blocks.
+    Service liveness (503 once the workspace closes) and a merged
+    snapshot: ``lakes`` (per-lake cache/pool/admission),
+    ``workspace`` (shared pool), ``jobs`` and ``http`` blocks.
 ``GET /version``
     Library / snapshot-format / python / numpy versions — the
     compatibility fingerprint the cluster supervisor compares before
@@ -56,9 +55,8 @@ Endpoints (all JSON; errors come back as
     server was constructed with an ``oplogs`` mapping (the CLI's
     ``serve --record-oplog``); 404 ``no-oplog`` otherwise.
 
-Legacy single-lake routes — ``POST /detect``, ``GET
-/ranking/<measure>``, ``POST /tables``, ``DELETE /tables/<name>`` —
-keep working as aliases for the *default* (first-mounted) lake.
+Every lake-scoped route names its lake; any other path is 404
+``unknown-route``.
 
 Error surface: 400 malformed request, 401 missing/bad bearer token
 (when ``auth_token`` is configured; ``/healthz`` stays open for
@@ -99,8 +97,8 @@ Typical embedding (the CLI's ``domainnet serve`` does exactly this)::
     ...
     server.drain()              # joins + workspace.close()
 
-Constructing the server with a bare :class:`HomographIndex` still
-works: it is adopted into a one-lake workspace named ``"default"``.
+To serve an index built elsewhere, mount it first with
+:meth:`Workspace.attach_index`.
 """
 
 from __future__ import annotations
@@ -147,8 +145,6 @@ DEFAULT_REQUEST_TIMEOUT = 60.0
 #: Default (and maximum) ``limit`` for ranking pages.
 DEFAULT_PAGE_LIMIT = 100
 MAX_PAGE_LIMIT = 10_000
-#: Name a bare index is mounted under when the server adopts it.
-DEFAULT_LAKE_NAME = "default"
 #: Query values accepted as "true" for the ``async`` flag.
 _TRUTHY = {"1", "true", "yes", "on"}
 
@@ -195,13 +191,11 @@ class _AdmissionGate:
       gate-wide ``lake_quota``, else the derived fair share
       ``max(1, limit // n_lakes)``.
 
-    A global rejection answers ``over-capacity`` (legacy code); a
-    quota rejection answers ``lake-over-capacity`` with the lake's
-    name, so a client hammering one lake learns *its* lake is the
-    problem while siblings keep serving.  The global check runs
-    first: when both levels are saturated the answer is the
-    service-wide condition, and a single-lake server (quota ==
-    limit) keeps its PR-4 error surface bit-for-bit.
+    A global rejection answers ``over-capacity``; a quota rejection
+    answers ``lake-over-capacity`` with the lake's name, so a client
+    hammering one lake learns *its* lake is the problem while
+    siblings keep serving.  The global check runs first: when both
+    levels are saturated the answer is the service-wide condition.
 
     *Warm* requests — the caller proved the response is cached or
     coalescible onto an in-flight computation — cost no pool work, so
@@ -312,7 +306,7 @@ class _AdmissionGate:
 
     @property
     def rejected(self) -> int:
-        """Total rejections, both scopes (legacy ``/stats`` counter)."""
+        """Total rejections, both scopes (``http.rejected``)."""
         with self._lock:
             return (
                 self._rejected_global
@@ -514,11 +508,9 @@ class HomographHTTPServer(DrainingThreadingHTTPServer):
     ----------
     workspace:
         The :class:`~repro.api.Workspace` of lakes every handler
-        thread queries — or a bare :class:`HomographIndex`, adopted
-        into a fresh one-lake workspace under the name ``"default"``.
-        The server *owns* the workspace lifecycle by default:
-        :meth:`drain` closes it (pass ``close_index=False`` to keep
-        it).
+        thread queries.  The server *owns* the workspace lifecycle
+        by default: :meth:`drain` closes it (pass
+        ``close_index=False`` to keep it).
     address:
         ``(host, port)`` to bind; port ``0`` picks an ephemeral port
         (read it back from :attr:`url` / ``server_address``).
@@ -555,18 +547,18 @@ class HomographHTTPServer(DrainingThreadingHTTPServer):
     oplogs:
         Optional mapping of lake name to a mutation log (duck-typed;
         the cluster package's :class:`~repro.cluster.MutationLog`).
-        When a lake has one, every applied ``POST /tables`` /
-        ``DELETE /tables/<t>`` is recorded to it *atomically with the
-        mutation* (the log's lock brackets both), the mutation
-        response gains an ``"oplog_seq"`` field, and ``GET /oplog``
-        serves the recorded entries to replicas; lakes without one
-        answer 404 ``no-oplog`` there.  The logs are closed on
+        When a lake has one, every applied table add or remove is
+        recorded to it *atomically with the mutation* (the log's lock
+        brackets both), the mutation response gains an
+        ``"oplog_seq"`` field, and ``GET /lakes/<name>/oplog`` serves
+        the recorded entries to replicas; lakes without one answer
+        404 ``no-oplog`` there.  The logs are closed on
         :meth:`drain`.
     """
 
     def __init__(
         self,
-        workspace: Union[Workspace, HomographIndex],
+        workspace: Workspace,
         address: Tuple[str, int] = ("127.0.0.1", 0),
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         max_concurrent: int = DEFAULT_MAX_CONCURRENT,
@@ -580,6 +572,12 @@ class HomographHTTPServer(DrainingThreadingHTTPServer):
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
         oplogs: Optional[Dict[str, object]] = None,
     ) -> None:
+        if not isinstance(workspace, Workspace):
+            raise TypeError(
+                f"the server hosts a Workspace, not a "
+                f"{type(workspace).__name__}; mount an index with "
+                f"Workspace.attach_index(name, index) first"
+            )
         if lake_quota is not None and (
             isinstance(lake_quota, bool)
             or not isinstance(lake_quota, int)
@@ -595,9 +593,6 @@ class HomographHTTPServer(DrainingThreadingHTTPServer):
             request_timeout=request_timeout,
             quiet=quiet,
         )
-        if isinstance(workspace, HomographIndex):
-            index, workspace = workspace, Workspace()
-            workspace.attach_index(DEFAULT_LAKE_NAME, index)
         self.workspace = workspace
         self.jobs = JobManager(
             ttl=job_ttl, max_jobs=max_jobs, persist_dir=job_dir
@@ -614,11 +609,6 @@ class HomographHTTPServer(DrainingThreadingHTTPServer):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def index(self) -> Optional[HomographIndex]:
-        """The default lake's index (legacy single-lake accessor)."""
-        return self.workspace.default_index()
-
     def count(self, ok: bool) -> None:
         """Record one completed response for ``/stats``."""
         with self._counters_lock:
@@ -630,10 +620,9 @@ class HomographHTTPServer(DrainingThreadingHTTPServer):
     def http_stats(self) -> Dict[str, object]:
         """HTTP-layer counters (the ``http`` block of ``GET /stats``).
 
-        The legacy flat counters stay (``rejected`` totals both
-        rejection scopes); ``gate`` breaks admission down per lake —
-        occupancy, effective quota, and rejections — plus the
-        follower-lane counters.
+        ``rejected`` totals both rejection scopes; ``gate`` breaks
+        admission down per lake — occupancy, effective quota, and
+        rejections — plus the follower-lane counters.
         """
         with self._counters_lock:
             served, errors = self._served, self._errors
@@ -691,16 +680,14 @@ class HomographHTTPServer(DrainingThreadingHTTPServer):
 
 
 def start_server(
-    workspace: Union[Workspace, HomographIndex],
+    workspace: Workspace,
     host: str = "127.0.0.1",
     port: int = 0,
     **options,
 ) -> HomographHTTPServer:
     """Construct a server and run its accept loop in the background.
 
-    ``workspace`` is a :class:`~repro.api.Workspace` or a bare
-    :class:`HomographIndex` (adopted as the one-lake workspace).  The
-    accept loop runs on a daemon thread; the returned server is
+    The accept loop runs on a daemon thread; the returned server is
     already reachable at ``server.url``.  Call
     :meth:`HomographHTTPServer.drain` (or use the server as a context
     manager) to stop it and close the workspace.
@@ -1052,9 +1039,9 @@ class HomographRequestHandler(KeepAliveRequestHandler):
         ``warm`` (the caller probed :meth:`HomographIndex.is_warm`)
         routes the request through the gate's follower lane — cached
         or coalescible responses are admitted ahead of fresh
-        computations under overload.  A global rejection keeps the
-        legacy ``over-capacity`` code; a quota rejection answers
-        ``lake-over-capacity`` with the lake's name in the body.
+        computations under overload.  A global rejection answers
+        ``over-capacity``; a quota rejection answers
+        ``lake-over-capacity``.  Both name the lake in the body.
         """
         workspace = self.server.workspace
         gate = self.server.gate
@@ -1202,7 +1189,7 @@ class HomographRequestHandler(KeepAliveRequestHandler):
                 self.close_connection = True  # pragma: no cover
 
     def _dispatch(self, method: str, segments: List[str], query) -> None:
-        """Top-level router: global, ``/lakes``, ``/jobs``, legacy."""
+        """The one route table: global, ``/lakes``, ``/jobs``."""
         head = segments[0] if segments else ""
         if head == "healthz" and len(segments) == 1:
             if method != "GET":
@@ -1234,9 +1221,7 @@ class HomographRequestHandler(KeepAliveRequestHandler):
                 return self._handle_job_poll(segments[1])
             if method == "DELETE":
                 return self._handle_job_cancel(segments[1])
-            raise self._unknown_route(method, segments)
-        # Legacy un-prefixed routes resolve against the default lake.
-        return self._lake_route(method, None, segments, query)
+        raise self._unknown_route(method, segments)
 
     @staticmethod
     def _unknown_route(method: str, segments: List[str]) -> _HTTPProblem:
@@ -1245,21 +1230,11 @@ class HomographRequestHandler(KeepAliveRequestHandler):
             f"no such endpoint: {method} /{'/'.join(segments)}",
         )
 
-    def _resolve_lake(
-        self, name: Optional[str]
-    ) -> Tuple[str, HomographIndex]:
-        """Map a lake name (``None`` = default) to its index or 404."""
+    def _resolve_lake(self, name: str) -> HomographIndex:
+        """Map a lake name to its index, or 404 ``unknown-lake``."""
         workspace = self.server.workspace
-        if name is None:
-            default = workspace.default_name
-            if default is None:
-                raise _HTTPProblem(
-                    404, "unknown-lake",
-                    "no lakes are mounted on this server",
-                )
-            name = default
         try:
-            return name, workspace.get(name)
+            return workspace.get(name)
         except UnknownLakeError:
             raise _HTTPProblem(
                 404, "unknown-lake",
@@ -1268,14 +1243,10 @@ class HomographRequestHandler(KeepAliveRequestHandler):
             ) from None
 
     def _lake_route(
-        self,
-        method: str,
-        name: Optional[str],
-        rest: List[str],
-        query,
+        self, method: str, lake_name: str, rest: List[str], query
     ) -> None:
-        """Dispatch one lake-scoped operation (legacy or namespaced)."""
-        lake_name, index = self._resolve_lake(name)
+        """Dispatch one ``/lakes/<name>/...`` operation."""
+        index = self._resolve_lake(lake_name)
         head = rest[0] if rest else ""
         if method == "POST" and rest == ["detect"]:
             return self._handle_detect(lake_name, index, query)
@@ -1291,50 +1262,30 @@ class HomographRequestHandler(KeepAliveRequestHandler):
             return self._handle_lake_healthz(lake_name, index)
         if method == "GET" and rest == ["stats"]:
             return self._send_json(200, index.stats())
-        prefix = [] if name is None else ["lakes", name]
-        raise self._unknown_route(method, prefix + rest)
+        raise self._unknown_route(method, ["lakes", lake_name, *rest])
 
     # -- global routes -------------------------------------------------
     def _handle_healthz(self) -> None:
-        index = self.server.index
-        if self.server.workspace.closed or (
-            index is not None and index.closed
-        ):
+        workspace = self.server.workspace
+        if workspace.closed:
             self._send_json(503, {"status": "closed"})
             return
-        names = self.server.workspace.names()
         self._send_json(
-            200,
-            {
-                "status": "ok",
-                "tables": 0 if index is None else len(index.lake),
-                "lakes": list(names),
-            },
+            200, {"status": "ok", "lakes": list(workspace.names())}
         )
 
     def _handle_stats(self) -> None:
-        """Merged snapshot: default-lake counters + per-lake blocks."""
-        workspace = self.server.workspace
-        workspace_stats = workspace.stats()
-        default = workspace_stats["default_lake"]
-        # Legacy shape first: the default lake's counters stay at the
-        # top level so single-lake dashboards keep reading.  Reuse
-        # the snapshot already taken for the `lakes` block instead of
-        # walking the index's lock twice per monitoring poll.
-        stats: Dict[str, object] = (
-            dict(workspace_stats["lakes"][default])
-            if default is not None
-            else {"closed": workspace.closed}
-        )
-        stats["lakes"] = workspace_stats["lakes"]
-        stats["default_lake"] = workspace_stats["default_lake"]
-        stats["workspace"] = {
-            "closed": workspace_stats["closed"],
-            "pool": workspace_stats["pool"],
-        }
-        stats["jobs"] = self.server.jobs.stats()
-        stats["http"] = self.server.http_stats()
-        self._send_json(200, stats)
+        """Merged snapshot: per-lake, workspace, jobs and http blocks."""
+        workspace_stats = self.server.workspace.stats()
+        self._send_json(200, {
+            "lakes": workspace_stats["lakes"],
+            "workspace": {
+                "closed": workspace_stats["closed"],
+                "pool": workspace_stats["pool"],
+            },
+            "jobs": self.server.jobs.stats(),
+            "http": self.server.http_stats(),
+        })
 
     def _handle_version(self) -> None:
         """``GET /version``: everything a replica must agree on.
@@ -1361,7 +1312,6 @@ class HomographRequestHandler(KeepAliveRequestHandler):
 
     def _handle_lakes(self) -> None:
         workspace = self.server.workspace
-        default = workspace.default_name
         lakes = []
         for name in workspace.names():
             try:
@@ -1371,12 +1321,9 @@ class HomographRequestHandler(KeepAliveRequestHandler):
             lakes.append({
                 "name": name,
                 "tables": len(index.lake),
-                "default": name == default,
                 "closed": index.closed,
             })
-        self._send_json(
-            200, {"lakes": lakes, "default": default}
-        )
+        self._send_json(200, {"lakes": lakes})
 
     def _handle_mount_lake(self) -> None:
         """``POST /lakes``: mount a CSV directory or snapshot at runtime.
@@ -1551,15 +1498,15 @@ class HomographRequestHandler(KeepAliveRequestHandler):
         measure: str,
         query,
     ) -> None:
-        request = DetectRequest(
-            measure=measure,
-            sample_size=self._int_param(query, "sample_size", None, 1),
-            seed=self._int_param(query, "seed", None, 0),
-            lcc_variant=self._str_param(
+        request = self._parse_detect_request({
+            "measure": measure,
+            "sample_size": self._int_param(query, "sample_size", None, 1),
+            "seed": self._int_param(query, "seed", None, 0),
+            "lcc_variant": self._str_param(
                 query, "lcc_variant", "attribute-jaccard"
             ),
-            endpoints=self._str_param(query, "endpoints", "all"),
-        )
+            "endpoints": self._str_param(query, "endpoints", "all"),
+        })
         cursor = self._str_param(query, "cursor", None)
         limit = self._int_param(
             query, "limit", DEFAULT_PAGE_LIMIT, minimum=1
@@ -1581,7 +1528,7 @@ class HomographRequestHandler(KeepAliveRequestHandler):
         )
 
     def _handle_oplog(self, lake_name: str, query) -> None:
-        """``GET /oplog?since=N``: the lake's recorded mutation tail.
+        """``GET /lakes/<name>/oplog?since=N``: the recorded tail.
 
         Replicas poll this on the primary and replay the entries
         through their own mutation routes; ``since`` is the last
@@ -1706,14 +1653,15 @@ class HomographRequestHandler(KeepAliveRequestHandler):
         values = query.get(name)
         if not values:
             return default
-        try:
-            value = int(values[-1])
-        except ValueError:
+        raw = values[-1]
+        # ASCII digits only: int() also takes '١', '1_0', '+2', ' 2'.
+        if not (raw.isascii() and raw.isdigit()):
             raise _HTTPProblem(
                 400, "invalid-paging",
-                f"query parameter {name!r} must be an integer, "
-                f"got {values[-1]!r}",
-            ) from None
+                f"query parameter {name!r} must be an integer "
+                f">= {minimum}, got {raw!r}",
+            )
+        value = int(raw)
         if value < minimum:
             raise _HTTPProblem(
                 400, "invalid-paging",

@@ -1,13 +1,14 @@
 """Async detection jobs: submit now, poll later, evict on TTL.
 
-A synchronous ``POST /detect`` holds an HTTP connection for the whole
-kernel run — fine for warm caches, hostile for a cold exact-BC pass
-over a large lake.  :class:`JobManager` is the server-side bookkeeping
-for the asynchronous spelling (``POST /lakes/<name>/detect?async=1``):
-it submits the request through :meth:`HomographIndex.asubmit` (so jobs
-ride the index's score cache, single-flight coalescing, and the shared
-worker pool exactly like synchronous calls) and tracks each future
-under a process-unique job id::
+A synchronous ``POST /lakes/<name>/detect`` holds an HTTP connection
+for the whole kernel run — fine for warm caches, hostile for a cold
+exact-BC pass over a large lake.  :class:`JobManager` is the
+server-side bookkeeping for the asynchronous spelling
+(``POST /lakes/<name>/detect?async=1``): it submits the request
+through :meth:`HomographIndex.asubmit` (so jobs ride the index's score
+cache, single-flight coalescing, and the shared worker pool exactly
+like synchronous calls) and tracks each future under a process-unique
+job id::
 
     manager = JobManager(ttl=300.0)
     job_id = manager.submit("zoo", index, DetectRequest(measure="lcc"))

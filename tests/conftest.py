@@ -45,6 +45,25 @@ def make_figure1_lake() -> DataLake:
     )
 
 
+#: The lake name :func:`serve_index` mounts a test's index under.  It
+#: is only a name (the server has no default lake); it keeps the
+#: ``/lakes/default/...`` paths that parametrized test ids carry.
+LAKE = "default"
+
+
+def serve_index(index, name: str = LAKE, **options):
+    """Serve ``index`` as the one lake ``name`` on an ephemeral port.
+
+    The server owns a fresh workspace holding only ``index``; every
+    lake-scoped route lives under ``/lakes/<name>/``.
+    """
+    from repro import Workspace, start_server
+
+    workspace = Workspace()
+    workspace.attach_index(name, index)
+    return start_server(workspace, port=0, **options)
+
+
 @pytest.fixture
 def figure1_lake() -> DataLake:
     return make_figure1_lake()

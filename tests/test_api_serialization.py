@@ -2,11 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import (
     DetectRequest,
     DetectResponse,
+    ExecutionConfig,
     HomographIndex,
     HomographRanking,
 )
@@ -58,6 +60,41 @@ class TestRequest:
         assert changed.seed == 2
         assert changed.measure == "betweenness"
         assert base.seed == 1  # immutable original
+
+    @pytest.mark.parametrize("fields,error", [
+        ({"lcc_variant": "bogus"}, ValueError),
+        ({"endpoints": "bogus"}, ValueError),
+        ({"sample_size": 0}, ValueError),
+        ({"sample_size": -3}, ValueError),
+        ({"sample_size": 2.5}, TypeError),
+        ({"sample_size": "abc"}, TypeError),
+        ({"sample_size": True}, TypeError),
+        ({"seed": -1}, ValueError),
+        ({"seed": "x"}, TypeError),
+        ({"seed": False}, TypeError),
+        ({"execution": 5}, TypeError),
+    ], ids=lambda value: (
+        value.__name__ if isinstance(value, type)
+        else "{}={!r}".format(*next(iter(value.items())))
+    ))
+    def test_from_dict_rejects_bad_builtin_fields(self, fields, error):
+        with pytest.raises(error):
+            DetectRequest.from_dict({"measure": "lcc", **fields})
+        with pytest.raises(error):
+            DetectRequest(measure="lcc", **fields)
+        with pytest.raises(error):
+            DetectRequest(measure="lcc").with_overrides(**fields)
+
+    def test_builtin_fields_accept_their_legal_values(self):
+        request = DetectRequest.from_dict({
+            "sample_size": np.int64(1), "seed": np.int32(0),
+            "lcc_variant": "value-neighbors", "endpoints": "values",
+            "execution": {"backend": "serial"},
+        })
+        assert request.sample_size == 1 and request.seed == 0
+        assert isinstance(request.execution, ExecutionConfig)
+        config = ExecutionConfig(backend="serial")
+        assert DetectRequest(execution=config).execution is config
 
 
 class TestResponseRoundTrip:

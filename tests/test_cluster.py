@@ -14,7 +14,8 @@ process-level supervisor is exercised by ``test_cluster_failover``):
   parity guarantee, applied across processes), idempotent re-replay,
   epoch changes reported as ``needs_bootstrap``;
 * :class:`ClusterRouter` policy — reads balance across replicas,
-  writes pin to the primary, job polls stick to the accepting
+  writes and the oplog feed pin to the primary, job polls stick to
+  the accepting
   replica, a dead replica is retried around without a client-visible
   failure, a dark fleet answers 503 ``no-healthy-replica``;
 * the ``GET /version`` fingerprint and the pinned
@@ -34,7 +35,6 @@ from repro import (
     ServiceError,
     ServiceUnavailable,
     Table,
-    start_server,
 )
 from repro import __version__ as library_version
 from repro.cluster import (
@@ -48,7 +48,7 @@ from repro.cluster import (
 )
 from repro.snapshot import FORMAT_VERSION
 
-from tests.conftest import make_figure1_lake
+from tests.conftest import LAKE, make_figure1_lake, serve_index
 
 
 # ----------------------------------------------------------------------
@@ -133,11 +133,11 @@ class TestMutationLog:
 # ----------------------------------------------------------------------
 @pytest.fixture
 def recording_stack(tmp_path):
-    """A served index recording its mutations, plus a ready client."""
+    """A served index recording its mutations, plus a ready handle."""
     log = MutationLog(tmp_path / "oplog.jsonl")
     index = HomographIndex(make_figure1_lake())
-    server = start_server(index, port=0, oplogs={"default": log})
-    client = HomographClient(server.url, timeout=30.0)
+    server = serve_index(index, oplogs={LAKE: log})
+    client = HomographClient(server.url, timeout=30.0).lake(LAKE)
     client.wait_ready()
     yield server, client, log
     server.drain()
@@ -153,8 +153,8 @@ class TestVersionEndpoint:
         assert payload["python"] and payload["numpy"]
 
     def test_version_is_auth_exempt(self, figure1_lake):
-        server = start_server(
-            HomographIndex(figure1_lake), port=0, auth_token="s3cret"
+        server = serve_index(
+            HomographIndex(figure1_lake), auth_token="s3cret"
         )
         try:
             anonymous = HomographClient(server.url, timeout=30.0)
@@ -233,12 +233,12 @@ class TestOplogOverHTTP:
         assert tail["epoch"] == log.epoch
         assert tail["last_seq"] == 5
         assert [e["seq"] for e in tail["entries"]] == [4, 5]
-        assert tail["lake"] == "default"
+        assert tail["lake"] == LAKE
 
     def test_no_oplog_is_404(self, figure1_lake):
-        server = start_server(HomographIndex(figure1_lake), port=0)
+        server = serve_index(HomographIndex(figure1_lake))
         try:
-            client = HomographClient(server.url, timeout=30.0)
+            client = HomographClient(server.url, timeout=30.0).lake(LAKE)
             client.wait_ready()
             with pytest.raises(ServiceError) as info:
                 client.oplog()
@@ -255,11 +255,11 @@ class TestOplogOverHTTP:
 class TestReplayParity:
     def test_follower_converges_bit_identically(self, recording_stack):
         primary_server, primary, _ = recording_stack
-        replica_server = start_server(
-            HomographIndex(make_figure1_lake()), port=0
-        )
+        replica_server = serve_index(HomographIndex(make_figure1_lake()))
         try:
-            replica = HomographClient(replica_server.url, timeout=30.0)
+            replica = HomographClient(
+                replica_server.url, timeout=30.0
+            ).lake(LAKE)
             replica.wait_ready()
             _apply_chain(primary)
             follower = OplogFollower(primary, replica)
@@ -303,23 +303,23 @@ class TestReplayParity:
         self, recording_stack, tmp_path
     ):
         primary_server, primary, original = recording_stack
-        replica_server = start_server(
-            HomographIndex(make_figure1_lake()), port=0
-        )
+        replica_server = serve_index(HomographIndex(make_figure1_lake()))
         fresh = MutationLog(tmp_path / "fresh.jsonl")
         try:
-            replica = HomographClient(replica_server.url, timeout=30.0)
+            replica = HomographClient(
+                replica_server.url, timeout=30.0
+            ).lake(LAKE)
             replica.wait_ready()
             primary.add_table(_table("M1", ["Jaguar"]))
             follower = OplogFollower(primary, replica)
             assert follower.sync_once()["applied"] == 1
             # Simulate a republish: swap in a fresh log (new epoch).
-            primary_server.oplogs["default"] = fresh
+            primary_server.oplogs[LAKE] = fresh
             report = follower.sync_once()
             assert report["needs_bootstrap"] is True
             assert follower.applied_seq == 0
         finally:
-            primary_server.oplogs["default"] = original
+            primary_server.oplogs[LAKE] = original
             fresh.close()
             replica_server.drain()
 
@@ -372,18 +372,15 @@ class TestReplicaSet:
 def routed_pair(tmp_path):
     """A primary (recording) + replica fleet behind a live router."""
     log = MutationLog(tmp_path / "oplog.jsonl")
-    primary_server = start_server(
-        HomographIndex(make_figure1_lake()), port=0,
-        oplogs={"default": log},
+    primary_server = serve_index(
+        HomographIndex(make_figure1_lake()), oplogs={LAKE: log}
     )
-    replica_server = start_server(
-        HomographIndex(make_figure1_lake()), port=0
-    )
+    replica_server = serve_index(HomographIndex(make_figure1_lake()))
     primary = Replica("primary", url=primary_server.url, role="primary")
     replica = Replica("replica-1", url=replica_server.url)
     fleet = ReplicaSet([primary, replica])
     router = start_router(fleet)
-    client = HomographClient(router.url, timeout=30.0)
+    client = HomographClient(router.url, timeout=30.0).lake(LAKE)
     client.wait_ready()
     yield {
         "router": router,
@@ -399,7 +396,8 @@ def routed_pair(tmp_path):
     replica_server.drain()
 
 
-def _replica_header(router_url, path="/healthz"):
+def _replica_response(router_url, path="/healthz"):
+    """``(status, X-DomainNet-Replica)`` of one GET through the router."""
     import http.client
     import urllib.parse
 
@@ -411,7 +409,7 @@ def _replica_header(router_url, path="/healthz"):
         connection.request("GET", path)
         response = connection.getresponse()
         response.read()
-        return response.headers["X-DomainNet-Replica"]
+        return response.status, response.headers["X-DomainNet-Replica"]
     finally:
         connection.close()
 
@@ -419,10 +417,21 @@ def _replica_header(router_url, path="/healthz"):
 class TestRouterPolicy:
     def test_reads_balance_across_replicas(self, routed_pair):
         seen = {
-            _replica_header(routed_pair["router"].url)
+            _replica_response(routed_pair["router"].url)[1]
             for _ in range(10)
         }
         assert seen == {"primary", "replica-1"}
+
+    def test_oplog_feed_pins_to_primary(self, routed_pair):
+        # Only the primary records an oplog; a replica would answer
+        # 404 no-oplog.
+        responses = [
+            _replica_response(
+                routed_pair["router"].url, f"/lakes/{LAKE}/oplog"
+            )
+            for _ in range(10)
+        ]
+        assert responses == [(200, "primary")] * 10
 
     def test_writes_pin_to_primary(self, routed_pair):
         client = routed_pair["client"]
@@ -431,11 +440,11 @@ class TestRouterPolicy:
         # The replica did not see the write (no sync loop here).
         direct = HomographClient(
             routed_pair["replica_server"].url, timeout=30.0
-        )
+        ).lake(LAKE)
         assert direct.stats()["tables"] == 4
         primary_direct = HomographClient(
             routed_pair["primary_server"].url, timeout=30.0
-        )
+        ).lake(LAKE)
         assert primary_direct.stats()["tables"] == 5
 
     def test_job_polls_stick_to_accepting_replica(self, routed_pair):
@@ -492,7 +501,7 @@ class TestRouterPolicy:
         def hit(url):
             try:
                 worker = HomographClient(url, timeout=30.0)
-                worker.detect(measure="lcc")
+                worker.lake(LAKE).detect(measure="lcc")
             except Exception as error:  # noqa: BLE001
                 failures.append(error)
 

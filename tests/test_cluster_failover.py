@@ -105,7 +105,7 @@ def test_kill_dash_nine_drops_zero_reads(cluster):
 
 def test_mutations_replicate_to_byte_identical_rankings(cluster):
     supervisor, router = cluster
-    client = HomographClient(router.url, timeout=30.0)
+    client = HomographClient(router.url, timeout=30.0).lake("zoo")
     chain = (
         ("add", Table.from_columns(
             "F1", {"A": ["Jaguar", "Osprey"], "B": ["1", "2"]})),
@@ -131,7 +131,7 @@ def test_mutations_replicate_to_byte_identical_rankings(cluster):
     )), supervisor.replicas.stats()
     rankings = {}
     for replica in supervisor.replicas:
-        direct = HomographClient(replica.url, timeout=30.0)
+        direct = HomographClient(replica.url, timeout=30.0).lake("zoo")
         rankings[replica.name] = [
             (entry.rank, entry.value, entry.score)
             for entry in direct.iter_ranking("betweenness")
@@ -152,7 +152,7 @@ def test_rolling_restart_drops_zero_reads(cluster):
         worker = HomographClient(
             router.url, timeout=30.0,
             retry_overloaded=100, retry_backoff=0.05,
-        )
+        ).lake("zoo")
         while not stop.is_set():
             try:
                 worker.detect(measure="lcc")
@@ -175,7 +175,7 @@ def test_rolling_restart_drops_zero_reads(cluster):
     assert all(replica.healthy for replica in supervisor.replicas)
     # The primary recovered its oplog across the restart: the next
     # mutation continues the sequence instead of restarting it.
-    client = HomographClient(router.url, timeout=30.0)
+    client = HomographClient(router.url, timeout=30.0).lake("zoo")
     response = client.add_table(Table.from_columns(
         "F9", {"A": ["Heron", "Crane"], "B": ["1", "2"]}
     ))

@@ -28,10 +28,10 @@ from repro import (
     MeasureOutput,
     Table,
     register_measure,
-    start_server,
     unregister_measure,
 )
 from repro.core.ranking import HomographRanking, RankingPage
+from tests.conftest import LAKE, serve_index
 
 # Values json must escape, confusable spellings, and scores json
 # writes specially (NaN, Infinity) or that round-trip at the edges.
@@ -214,7 +214,7 @@ def hard_server(figure1_lake):
     register_measure(HARD_MEASURE, measure)
     index = HomographIndex(figure1_lake)
     index.detect(measure=HARD_MEASURE)    # every read below is a hit
-    server = start_server(index, port=0)
+    server = serve_index(index)
     try:
         yield server, index
     finally:
@@ -231,7 +231,7 @@ class TestServedBodies:
         query = "" if top is None else f"?top={top}"
         for _ in range(2):
             status, _, raw = fetch(
-                server, "POST", f"/lakes/default/detect{query}",
+                server, "POST", f"/lakes/{LAKE}/detect{query}",
                 body=json.dumps({"measure": HARD_MEASURE}).encode(),
             )
             assert status == 200
@@ -249,7 +249,7 @@ class TestServedBodies:
         )
         for _ in range(2):
             status, headers, raw = fetch(
-                server, "GET", f"/lakes/default/ranking/{HARD_MEASURE}?"
+                server, "GET", f"/lakes/{LAKE}/ranking/{HARD_MEASURE}?"
                 + query, accept_gzip=accept_gzip,
             )
             assert status == 200
@@ -338,12 +338,12 @@ class TestConcurrencyAndMutation:
 
     def test_served_page_after_add_table(self, figure1_lake):
         index = HomographIndex(figure1_lake, prune_candidates=False)
-        server = start_server(index, port=0)
-        path = "/lakes/default/ranking/betweenness?limit=3"
+        server = serve_index(index)
+        path = f"/lakes/{LAKE}/ranking/betweenness?limit=3"
         try:
             _, _, first = fetch(server, "GET", path)
             body = json.dumps({"name": "T5", "columns": EXTRA_COLUMNS})
-            status, _, _ = fetch(server, "POST", "/lakes/default/tables",
+            status, _, _ = fetch(server, "POST", f"/lakes/{LAKE}/tables",
                                  body=body.encode())
             assert status == 201
             assert index.last_mutation["patched_entries"] == 1

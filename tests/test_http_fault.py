@@ -25,7 +25,8 @@ import time
 
 import pytest
 
-from repro import HomographIndex, start_server
+from repro import HomographIndex
+from tests.conftest import LAKE, serve_index
 from tests.test_http_protocol import raw_request
 
 REQUEST_TIMEOUT = 1.0
@@ -37,8 +38,8 @@ VERDICT_BOUND = REQUEST_TIMEOUT + 8.0
 @pytest.fixture
 def short_fuse_server(figure1_lake):
     index = HomographIndex(figure1_lake)
-    server = start_server(
-        index, port=0, request_timeout=REQUEST_TIMEOUT, max_concurrent=2
+    server = serve_index(
+        index, request_timeout=REQUEST_TIMEOUT, max_concurrent=2
     )
     yield server
     server.drain()
@@ -55,7 +56,7 @@ def _connect(server) -> socket.socket:
 def _send_partial_detect(connection, body: bytes, sent: int) -> None:
     """A valid request head claiming ``len(body)`` bytes, sending fewer."""
     head = (
-        f"POST /detect HTTP/1.1\r\n"
+        f"POST /lakes/{LAKE}/detect HTTP/1.1\r\n"
         f"Host: x\r\n"
         f"Content-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n"
@@ -143,7 +144,8 @@ class TestStalledClientsDoNotWedge:
             # While the stall is pending, a well-behaved request
             # passes straight through on a fresh connection.
             status, _, payload = raw_request(
-                short_fuse_server, "POST", "/detect", body=body,
+                short_fuse_server, "POST", f"/lakes/{LAKE}/detect",
+                body=body,
                 headers={"Content-Length": str(len(body))},
             )
             assert status == 200
@@ -181,9 +183,7 @@ class TestStalledClientsDoNotWedge:
         self, figure1_lake
     ):
         index = HomographIndex(figure1_lake)
-        server = start_server(
-            index, port=0, request_timeout=REQUEST_TIMEOUT
-        )
+        server = serve_index(index, request_timeout=REQUEST_TIMEOUT)
         try:
             baseline = set(threading.enumerate())
             connections = [_connect(server) for _ in range(4)]
@@ -203,9 +203,7 @@ class TestStalledClientsDoNotWedge:
         self, figure1_lake
     ):
         index = HomographIndex(figure1_lake)
-        server = start_server(
-            index, port=0, request_timeout=REQUEST_TIMEOUT
-        )
+        server = serve_index(index, request_timeout=REQUEST_TIMEOUT)
         body = json.dumps({"measure": "lcc"}).encode()
         stalled = _connect(server)
         try:

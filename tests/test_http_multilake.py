@@ -5,9 +5,8 @@ process hosts two lakes over one persistent ``ProcessBackend`` (one
 pool's worth of workers, per-lake ``/dev/shm`` exports all released
 on drain); ``POST /lakes/<name>/detect?async=1`` returns a job id
 whose terminal ``GET /jobs/<id>`` payload is byte-identical to the
-synchronous response; legacy un-prefixed routes keep working against
-the default lake.  Plus the satellite surfaces: HTTP/1.1 keep-alive,
-gzip ranking pages, and bearer-token auth.
+synchronous response.  Plus the satellite surfaces: HTTP/1.1
+keep-alive, gzip ranking pages, and bearer-token auth.
 """
 
 import gzip
@@ -41,7 +40,7 @@ needs_dev_shm = pytest.mark.skipif(
 
 
 def two_lake_workspace(execution=None) -> Workspace:
-    """zoo (figure 1, default) + cars, optionally on a shared pool."""
+    """zoo (figure 1) + cars, optionally on a shared pool."""
     workspace = Workspace(execution=execution)
     workspace.attach("zoo", make_figure1_lake())
     workspace.attach("cars", make_cars_lake())
@@ -63,11 +62,11 @@ class TestNamespacedRoutes:
     def test_lakes_listing(self, multilake_stack):
         server, client, workspace = multilake_stack
         listing = client.lakes()
-        assert listing["default"] == "zoo"
+        assert set(listing) == {"lakes"}
         assert [lake["name"] for lake in listing["lakes"]] == \
             ["zoo", "cars"]
         zoo = listing["lakes"][0]
-        assert zoo["default"] is True and zoo["tables"] == 4
+        assert zoo == {"name": "zoo", "tables": 4, "closed": False}
 
     def test_per_lake_detect_sees_per_lake_graphs(self, multilake_stack):
         server, client, workspace = multilake_stack
@@ -76,15 +75,6 @@ class TestNamespacedRoutes:
         assert "PANDA" in zoo.scores and "PANDA" not in cars.scores
         assert "FIAT" in cars.scores and "FIAT" not in zoo.scores
 
-    def test_legacy_routes_alias_the_default_lake(self, multilake_stack):
-        server, client, workspace = multilake_stack
-        namespaced = client.lake("zoo").detect(measure="lcc")
-        legacy = client.detect(measure="lcc")      # un-prefixed POST
-        assert legacy.cached                       # same index, cached
-        assert legacy.scores == namespaced.scores
-        walked = list(client.iter_ranking("lcc", limit=3))
-        assert walked == list(namespaced.ranking)
-
     def test_per_lake_tables_mutate_only_their_lake(self, multilake_stack):
         server, client, workspace = multilake_stack
         cars = client.lake("cars")
@@ -92,7 +82,7 @@ class TestNamespacedRoutes:
             "lots", {"lot": ["A1", "A2"], "brand": ["Fiat", "Fiat"]}
         ))
         assert added["tables"] == 3
-        assert client.healthz()["tables"] == 4      # zoo untouched
+        assert client.lake("zoo").healthz()["tables"] == 4  # untouched
         assert "lots" not in workspace.get("zoo").lake
         removed = cars.remove_table("lots")
         assert removed["tables"] == 2
@@ -140,12 +130,10 @@ class TestNamespacedRoutes:
         server, client, workspace = multilake_stack
         client.lake("cars").detect(measure="lcc")
         stats = client.stats()
-        # Legacy top-level shape = the default lake's snapshot.
-        assert stats["tables"] == 4
-        assert "cache" in stats and "pool" in stats
+        assert set(stats) == {"lakes", "workspace", "jobs", "http"}
         assert set(stats["lakes"]) == {"zoo", "cars"}
+        assert stats["lakes"]["zoo"]["tables"] == 4
         assert stats["lakes"]["cars"]["cache"]["misses"] == 1
-        assert stats["default_lake"] == "zoo"
         assert stats["workspace"]["closed"] is False
         assert stats["jobs"]["tracked"] == 0
         assert stats["http"]["served"] >= 2
@@ -208,15 +196,6 @@ class TestAsyncJobs:
             time.sleep(0.02)
         assert snapshot["state"] == "done"
 
-    def test_async_on_legacy_route_uses_default_lake(
-        self, multilake_stack
-    ):
-        server, client, workspace = multilake_stack
-        job_id = client.submit(measure="lcc")
-        response = client.wait(job_id, timeout=30.0)
-        assert "PANDA" in response.scores          # zoo, not cars
-        assert client.poll(job_id)["lake"] == "zoo"
-
     def test_async_unknown_measure_fails_fast_not_as_job(
         self, multilake_stack
     ):
@@ -265,7 +244,7 @@ class TestAsyncJobs:
         client = HomographClient(server.url, timeout=30.0)
         try:
             client.wait_ready()
-            job_id = client.submit(measure="lcc")
+            job_id = client.lake("zoo").submit(measure="lcc")
             client.wait(job_id, timeout=30.0)
             time.sleep(0.8)  # let the TTL lapse
             with pytest.raises(ServiceError) as info:
@@ -277,7 +256,7 @@ class TestAsyncJobs:
 
     def test_cancel_of_finished_job_is_noop(self, multilake_stack):
         server, client, workspace = multilake_stack
-        job_id = client.submit(measure="lcc")
+        job_id = client.lake("zoo").submit(measure="lcc")
         client.wait(job_id, timeout=30.0)
         snapshot = client.cancel_job(job_id)
         assert snapshot["state"] == "done"          # unchanged
@@ -289,11 +268,12 @@ class TestAsyncJobs:
         client = HomographClient(server.url, timeout=30.0)
         try:
             client.wait_ready()
-            first = client.submit(measure="lcc")
+            zoo = client.lake("zoo")
+            first = zoo.submit(measure="lcc")
             client.wait(first, timeout=30.0)
             # The finished job still occupies the (tiny) tracking cap.
             with pytest.raises(ServiceError) as info:
-                client.submit(measure="betweenness")
+                zoo.submit(measure="betweenness")
             assert info.value.status == 503
             assert info.value.code == "jobs-overloaded"
             assert info.value.retry_after is not None
@@ -319,7 +299,7 @@ class TestAsyncJobs:
 
         register_measure("boom-http-test", boom)
         try:
-            job_id = client.submit(measure="boom-http-test")
+            job_id = client.lake("zoo").submit(measure="boom-http-test")
             with pytest.raises(JobFailed) as info:
                 client.wait(job_id, timeout=30.0)
             assert info.value.job["error"]["type"] == "ValueError"
@@ -551,7 +531,7 @@ class TestBearerAuth:
     def test_client_token_authenticates_everything(self, authed_stack):
         server = authed_stack
         client = HomographClient(server.url, timeout=30.0, token="s3cret")
-        assert client.lakes()["default"] == "zoo"
+        assert len(client.lakes()["lakes"]) == 2
         cars = client.lake("cars")                   # handle inherits it
         assert cars.detect(measure="lcc").scores
         job_id = cars.submit(measure="lcc")
@@ -561,7 +541,7 @@ class TestBearerAuth:
         server = authed_stack
         client = HomographClient(server.url, timeout=30.0)
         with pytest.raises(ServiceError) as info:
-            client.detect(measure="lcc")
+            client.lake("zoo").detect(measure="lcc")
         assert info.value.status == 401
         assert info.value.code == "unauthorized"
 

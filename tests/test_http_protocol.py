@@ -9,8 +9,8 @@ The contract: 400 malformed request, 401 missing/bad bearer token
 (when auth is on), 404 unknown lake / measure / table / job / route,
 409 closed index / duplicate table, 411 missing Content-Length, 413
 oversized body, 503 + ``Retry-After`` on admission-queue overflow —
-on the namespaced ``/lakes/<name>/...`` routes exactly as on their
-legacy un-prefixed aliases.
+all on the one route table, where every lake-scoped route names its
+lake (``/lakes/<name>/...``).
 
 The write path is pinned too: back-to-back and pipelined requests on
 one keep-alive connection, to a server and through the router, must
@@ -34,6 +34,10 @@ from repro import (
     start_server,
     unregister_measure,
 )
+from tests.conftest import LAKE, serve_index
+
+#: Route prefix of the one lake :func:`serve_index` mounts.
+LAKE_PATH = f"/lakes/{LAKE}"
 
 
 def raw_request(server, method, path, body=None, headers=None,
@@ -59,7 +63,7 @@ def raw_request(server, method, path, body=None, headers=None,
 def served(figure1_lake):
     """A served figure-1 index with a small body cap for 413 tests."""
     index = HomographIndex(figure1_lake)
-    server = start_server(index, port=0, max_body_bytes=4096)
+    server = serve_index(index, max_body_bytes=4096)
     yield server, index
     server.drain()
 
@@ -83,19 +87,50 @@ class TestMalformedRequests:
     def test_bad_detect_body_is_400(self, served, body):
         server, _ = served
         status, headers, payload = raw_request(
-            server, "POST", "/detect", body=body,
+            server, "POST", f"{LAKE_PATH}/detect", body=body,
             headers={"Content-Length": str(len(body))},
         )
         assert status == 400
         assert headers["Content-Type"] == "application/json"
         assert_error_shape(payload, 400, "malformed-json")
 
-    def test_invalid_request_fields_are_400(self, served):
-        server, _ = served
-        body = json.dumps({"measure": "lcc", "options": 7}).encode()
+    @pytest.mark.parametrize("query", ["", "?async=1"],
+                             ids=["sync", "async"])
+    @pytest.mark.parametrize("fields", [
+        {"options": 7},
+        {"lcc_variant": "bogus"},
+        {"endpoints": "bogus"},
+        {"sample_size": 0},
+        {"sample_size": -3},
+        {"sample_size": 2.5},
+        {"sample_size": "abc"},
+        {"sample_size": True},
+        {"seed": -1},
+        {"seed": "x"},
+        {"execution": 5},
+    ], ids=lambda fields: "{}={!r}".format(*next(iter(fields.items()))))
+    def test_invalid_request_fields_are_400(self, served, fields, query):
+        # Checked when the request is built: before admission, and
+        # before an async job is queued.
+        server, index = served
+        body = json.dumps({"measure": "lcc", **fields}).encode()
         status, _, payload = raw_request(
-            server, "POST", "/detect", body=body,
+            server, "POST", f"{LAKE_PATH}/detect{query}", body=body,
             headers={"Content-Length": str(len(body))},
+        )
+        assert status == 400
+        assert_error_shape(payload, 400, "invalid-request")
+        assert server.jobs.stats()["tracked"] == 0
+        assert index.cache_info().misses == 0
+
+    @pytest.mark.parametrize("query", [
+        "ranking/lcc?lcc_variant=bogus",
+        "ranking/betweenness?endpoints=bogus",
+    ])
+    def test_invalid_ranking_fields_are_400(self, served, query):
+        server, _ = served
+        status, _, payload = raw_request(
+            server, "GET", f"{LAKE_PATH}/{query}"
         )
         assert status == 400
         assert_error_shape(payload, 400, "invalid-request")
@@ -105,7 +140,7 @@ class TestMalformedRequests:
         # must reject it instead of trusting the header.
         server, _ = served
         status, _, payload = raw_request(
-            server, "POST", "/detect", body=b"",
+            server, "POST", f"{LAKE_PATH}/detect", body=b"",
             headers={"Content-Length": "-1"},
         )
         assert status == 400
@@ -116,7 +151,7 @@ class TestMalformedRequests:
         host, port = server.server_address[:2]
         connection = http.client.HTTPConnection(host, port, timeout=30.0)
         try:
-            connection.putrequest("POST", "/detect")
+            connection.putrequest("POST", f"{LAKE_PATH}/detect")
             connection.endheaders()  # no Content-Length, no body
             response = connection.getresponse()
             payload = json.loads(response.read())
@@ -135,28 +170,74 @@ class TestMalformedRequests:
         ("POST", "/detect/extra", "unknown-route"),
     ])
     def test_unknown_routes_are_404(self, served, method, path, code):
+        # Unknown at the top level and under the lake's prefix alike.
         server, _ = served
         body = b"{}" if method == "POST" else None
         headers = {"Content-Length": "2"} if body else {}
+        for target in (path, LAKE_PATH + path):
+            status, _, payload = raw_request(
+                server, method, target, body=body, headers=headers
+            )
+            assert status == 404, target
+            assert_error_shape(payload, 404, code)
+
+
+@pytest.fixture(params=["server", "router"])
+def target(request, figure1_lake):
+    """The one-lake server, directly or through a one-replica router."""
+    from repro.cluster import Replica, ReplicaSet, start_router
+
+    backend = serve_index(HomographIndex(figure1_lake))
+    try:
+        if request.param == "server":
+            yield backend
+            return
+        router = start_router(ReplicaSet([
+            Replica("only", url=backend.url, role="primary"),
+        ]))
+        try:
+            yield router
+        finally:
+            router.drain()
+    finally:
+        backend.drain()
+
+
+class TestOneRouteTable:
+    """A lake is reached only by name: no un-prefixed lake routes."""
+
+    @pytest.mark.parametrize("method,path,body", [
+        ("POST", "/detect", {"measure": "lcc"}),
+        ("POST", "/detect?async=1", {"measure": "lcc"}),
+        ("GET", "/ranking/lcc", None),
+        ("POST", "/tables", {"name": "t9", "columns": {"a": ["1"]}}),
+        ("DELETE", "/tables/T1", None),
+        ("GET", "/oplog", None),
+    ])
+    def test_unprefixed_lake_routes_are_404(
+        self, target, method, path, body
+    ):
+        raw = None if body is None else json.dumps(body).encode()
+        headers = {} if raw is None else {"Content-Length": str(len(raw))}
         status, _, payload = raw_request(
-            server, method, path, body=body, headers=headers
+            target, method, path, body=raw, headers=headers
         )
-        assert status == 404
-        assert_error_shape(payload, 404, code)
+        assert status == 404, (method, path)
+        assert_error_shape(payload, 404, "unknown-route")
 
 
 class TestNamespacedConformance:
-    """The /lakes/<name>/... routes share the legacy error surface."""
+    """The /lakes/<name>/... routes answer with one error surface."""
 
     @pytest.mark.parametrize("method,path,code", [
         ("POST", "/lakes/nope/detect", "unknown-lake"),
         ("GET", "/lakes/nope/ranking/lcc", "unknown-lake"),
         ("DELETE", "/lakes/nope/tables/T1", "unknown-lake"),
         ("GET", "/lakes/nope/healthz", "unknown-lake"),
-        ("GET", "/lakes/default/ranking/page-rank", "unknown-measure"),
-        ("DELETE", "/lakes/default/tables/ghost", "unknown-table"),
-        ("GET", "/lakes/default/nope", "unknown-route"),
-        ("DELETE", "/lakes/default/detect", "unknown-route"),
+        ("GET", f"{LAKE_PATH}/ranking/page-rank", "unknown-measure"),
+        ("DELETE", f"{LAKE_PATH}/tables/ghost", "unknown-table"),
+        ("GET", f"{LAKE_PATH}/nope", "unknown-route"),
+        ("DELETE", f"{LAKE_PATH}/detect", "unknown-route"),
         ("GET", "/jobs/no-such-job", "unknown-job"),
         ("DELETE", "/jobs/no-such-job", "unknown-job"),
         ("POST", "/jobs/no-such-job", "unknown-route"),
@@ -164,9 +245,8 @@ class TestNamespacedConformance:
         ("POST", "/stats", "unknown-route"),
     ])
     def test_namespaced_404s(self, served, method, path, code):
-        # The adopted single-index workspace mounts the lake as
-        # "default", so /lakes/default/... is live and /lakes/nope
-        # is not.
+        # The served workspace mounts one lake, so /lakes/default/...
+        # is live and /lakes/nope is not.
         server, _ = served
         body = b"{}" if method == "POST" else None
         headers = {"Content-Length": "2"} if body else {}
@@ -192,11 +272,9 @@ class TestNamespacedConformance:
         status, _, payload = raw_request(server, "GET", "/lakes")
         assert status == 200
         assert payload == {
-            "default": "default",
             "lakes": [{
-                "name": "default",
+                "name": LAKE,
                 "tables": len(index.lake),
-                "default": True,
                 "closed": False,
             }],
         }
@@ -204,7 +282,7 @@ class TestNamespacedConformance:
     def test_bad_paging_on_namespaced_ranking_is_400(self, served):
         server, _ = served
         status, _, payload = raw_request(
-            server, "GET", "/lakes/default/ranking/lcc?limit=0"
+            server, "GET", f"{LAKE_PATH}/ranking/lcc?limit=0"
         )
         assert status == 400
         assert_error_shape(payload, 400, "invalid-paging")
@@ -215,7 +293,7 @@ class TestUnknownNames:
         server, _ = served
         body = json.dumps({"measure": "page-rank"}).encode()
         status, _, payload = raw_request(
-            server, "POST", "/detect", body=body,
+            server, "POST", f"{LAKE_PATH}/detect", body=body,
             headers={"Content-Length": str(len(body))},
         )
         assert status == 404
@@ -226,7 +304,7 @@ class TestUnknownNames:
     def test_unknown_measure_on_ranking_is_404(self, served):
         server, _ = served
         status, _, payload = raw_request(
-            server, "GET", "/ranking/page-rank"
+            server, "GET", f"{LAKE_PATH}/ranking/page-rank"
         )
         assert status == 404
         assert_error_shape(payload, 404, "unknown-measure")
@@ -234,7 +312,7 @@ class TestUnknownNames:
     def test_unknown_table_delete_is_404(self, served):
         server, _ = served
         status, _, payload = raw_request(
-            server, "DELETE", "/tables/no-such-table"
+            server, "DELETE", f"{LAKE_PATH}/tables/no-such-table"
         )
         assert status == 404
         assert_error_shape(payload, 404, "unknown-table")
@@ -246,11 +324,25 @@ class TestPagingValidation:
         "limit=0", "limit=-1", "limit=abc", "limit=999999",
         "cursor=99999",  # past the end of the ranking
         "cursor=%D9%A1",  # '\u0661', a non-ASCII digit
+        "limit=%D9%A1",
+        "limit=1_0",      # int() reads '1_0' as 10
+        "limit=%2B2",     # a literal '+'
+        "limit=%202",     # a leading space
     ])
     def test_bad_paging_parameters_are_400(self, served, query):
         server, _ = served
         status, _, payload = raw_request(
-            server, "GET", f"/ranking/lcc?{query}"
+            server, "GET", f"{LAKE_PATH}/ranking/lcc?{query}"
+        )
+        assert status == 400
+        assert_error_shape(payload, 400, "invalid-paging")
+
+    def test_non_ascii_top_on_detect_is_400(self, served):
+        server, _ = served
+        body = json.dumps({"measure": "lcc"}).encode()
+        status, _, payload = raw_request(
+            server, "POST", f"{LAKE_PATH}/detect?top=%D9%A1", body=body,
+            headers={"Content-Length": str(len(body))},
         )
         assert status == 400
         assert_error_shape(payload, 400, "invalid-paging")
@@ -268,7 +360,7 @@ class TestTableValidation:
         server, _ = served
         body = json.dumps(payload).encode()
         status, _, response = raw_request(
-            server, "POST", "/tables", body=body,
+            server, "POST", f"{LAKE_PATH}/tables", body=body,
             headers={"Content-Length": str(len(body))},
         )
         assert status == 400
@@ -280,7 +372,7 @@ class TestTableValidation:
             {"name": "T1", "columns": {"a": ["1"]}}  # T1 exists
         ).encode()
         status, _, payload = raw_request(
-            server, "POST", "/tables", body=body,
+            server, "POST", f"{LAKE_PATH}/tables", body=body,
             headers={"Content-Length": str(len(body))},
         )
         assert status == 409
@@ -295,7 +387,7 @@ class TestBodyLimit:
         ).encode()
         assert len(body) > 4096
         status, _, payload = raw_request(
-            server, "POST", "/detect", body=body,
+            server, "POST", f"{LAKE_PATH}/detect", body=body,
             headers={"Content-Length": str(len(body))},
         )
         assert status == 413
@@ -308,11 +400,12 @@ class TestClosedIndex:
         index.close()
         body = json.dumps({"measure": "lcc"}).encode()
         for method, path, req_body in [
-            ("POST", "/detect", body),
-            ("GET", "/ranking/lcc", None),
-            ("POST", "/tables", json.dumps(
+            ("POST", f"{LAKE_PATH}/detect", body),
+            ("POST", f"{LAKE_PATH}/detect?async=1", body),
+            ("GET", f"{LAKE_PATH}/ranking/lcc", None),
+            ("POST", f"{LAKE_PATH}/tables", json.dumps(
                 {"name": "t", "columns": {"a": ["1"]}}).encode()),
-            ("DELETE", "/tables/T1", None),
+            ("DELETE", f"{LAKE_PATH}/tables/T1", None),
         ]:
             headers = (
                 {"Content-Length": str(len(req_body))} if req_body else {}
@@ -326,8 +419,17 @@ class TestClosedIndex:
     def test_healthz_reports_closed_as_503(self, served):
         server, index = served
         status, _, payload = raw_request(server, "GET", "/healthz")
-        assert status == 200 and payload["status"] == "ok"
+        assert status == 200
+        assert payload == {"status": "ok", "lakes": [LAKE]}
+        # A closed lake shows on its own probe; the service is up
+        # until the workspace closes.
         index.close()
+        status, _, payload = raw_request(server, "GET", f"{LAKE_PATH}/healthz")
+        assert status == 503
+        assert payload == {"status": "closed", "lake": LAKE}
+        status, _, _ = raw_request(server, "GET", "/healthz")
+        assert status == 200
+        server.workspace.close()
         status, _, payload = raw_request(server, "GET", "/healthz")
         assert status == 503
         assert payload == {"status": "closed"}
@@ -356,9 +458,7 @@ class TestQueueOverflow:
         self, figure1_lake, gated_measure
     ):
         index = HomographIndex(figure1_lake)
-        server = start_server(
-            index, port=0, max_concurrent=1, retry_after=7
-        )
+        server = serve_index(index, max_concurrent=1, retry_after=7)
         try:
             body = json.dumps({"measure": "gated-http-test"}).encode()
             headers = {"Content-Length": str(len(body))}
@@ -366,7 +466,8 @@ class TestQueueOverflow:
 
             def occupy():
                 results.append(raw_request(
-                    server, "POST", "/detect", body=body, headers=headers
+                    server, "POST", f"{LAKE_PATH}/detect", body=body,
+                    headers=headers,
                 ))
 
             occupant = threading.Thread(target=occupy)
@@ -376,7 +477,7 @@ class TestQueueOverflow:
             # The single compute slot is held: the next request — for
             # any measure — must be rejected, not queued.
             status, response_headers, payload = raw_request(
-                server, "POST", "/detect",
+                server, "POST", f"{LAKE_PATH}/detect",
                 body=json.dumps({"measure": "lcc"}).encode(),
                 headers={"Content-Length": str(
                     len(json.dumps({"measure": "lcc"}).encode())
@@ -388,7 +489,7 @@ class TestQueueOverflow:
 
             # Rankings ride the same gate.
             status, response_headers, payload = raw_request(
-                server, "GET", "/ranking/lcc"
+                server, "GET", f"{LAKE_PATH}/ranking/lcc"
             )
             assert status == 503
             assert response_headers["Retry-After"] == "7"
@@ -408,7 +509,9 @@ class TestQueueOverflow:
             # The slot is free again: the rejected caller can retry.
             deadline = time.monotonic() + 10
             while True:
-                status, _, _ = raw_request(server, "GET", "/ranking/lcc")
+                status, _, _ = raw_request(
+                    server, "GET", f"{LAKE_PATH}/ranking/lcc"
+                )
                 if status == 200 or time.monotonic() > deadline:
                     break
                 time.sleep(0.05)
@@ -576,10 +679,12 @@ class TestPerLakeQuota:
         # it instead of burning (or being refused) a fresh-compute
         # slot — under overload, followers are admitted first.
         index = HomographIndex(figure1_lake)
-        server = start_server(index, port=0, max_concurrent=1)
+        server = serve_index(index, max_concurrent=1)
         try:
             results = []
-            occupant = _occupy(server, "/detect", gated_measure, results)
+            occupant = _occupy(
+                server, f"{LAKE_PATH}/detect", gated_measure, results
+            )
             follower_results = []
 
             def follow():
@@ -587,7 +692,7 @@ class TestPerLakeQuota:
                     {"measure": "gated-http-test"}
                 ).encode()
                 follower_results.append(raw_request(
-                    server, "POST", "/detect", body=body,
+                    server, "POST", f"{LAKE_PATH}/detect", body=body,
                     headers={"Content-Length": str(len(body))},
                 ))
 
@@ -706,7 +811,7 @@ class TestClusterConformance:
     def routed(self, figure1_lake):
         from repro.cluster import Replica, ReplicaSet, start_router
 
-        backend = start_server(HomographIndex(figure1_lake), port=0)
+        backend = serve_index(HomographIndex(figure1_lake))
         replica = Replica("only", url=backend.url, role="primary")
         router = start_router(ReplicaSet([replica]))
         yield router, replica
@@ -727,7 +832,7 @@ class TestClusterConformance:
         router, replica = routed
         replica.mark_unhealthy()
         status, headers, payload = raw_request(
-            router, "GET", "/ranking/lcc"
+            router, "GET", f"{LAKE_PATH}/ranking/lcc"
         )
         assert status == 503
         assert headers["Content-Type"] == "application/json"
@@ -738,7 +843,7 @@ class TestClusterConformance:
         # A backend 404 travels through the router byte-compatible.
         router, _ = routed
         status, _, payload = raw_request(
-            router, "GET", "/ranking/unknown-measure"
+            router, "GET", f"{LAKE_PATH}/ranking/unknown-measure"
         )
         assert status == 404
         assert_error_shape(payload, 404, "unknown-measure")
@@ -802,28 +907,9 @@ class TestResponseWritePath:
     the write count pins the single write without a clock.
     """
 
-    @pytest.fixture(params=["server", "router"])
-    def target(self, request, figure1_lake):
-        from repro.cluster import Replica, ReplicaSet, start_router
-
-        backend = start_server(HomographIndex(figure1_lake), port=0)
-        try:
-            if request.param == "server":
-                yield backend
-                return
-            router = start_router(ReplicaSet([
-                Replica("only", url=backend.url, role="primary"),
-            ]))
-            try:
-                yield router
-            finally:
-                router.drain()
-        finally:
-            backend.drain()
-
     @pytest.mark.parametrize("path,headers", [
         ("/healthz", {}),
-        ("/ranking/lcc?limit=5", {"Accept-Encoding": "gzip"}),
+        (f"{LAKE_PATH}/ranking/lcc?limit=5", {"Accept-Encoding": "gzip"}),
     ], ids=["healthz", "gzip-ranking-page"])
     def test_back_to_back_keepalive_reads(self, target, path, headers):
         host, port = target.server_address[:2]
@@ -883,9 +969,9 @@ class TestResponseWritePath:
         body = json.dumps({"measure": "lcc"}).encode()
         exchanges = [
             ("GET", "/healthz", None, {}),
-            ("GET", "/ranking/lcc?limit=5", None,
+            ("GET", f"{LAKE_PATH}/ranking/lcc?limit=5", None,
              {"Accept-Encoding": "gzip"}),
-            ("POST", "/detect?top=3", body,
+            ("POST", f"{LAKE_PATH}/detect?top=3", body,
              {"Content-Length": str(len(body))}),
             ("GET", "/no/such/route", None, {}),   # 404, then close
         ]

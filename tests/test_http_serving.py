@@ -1,9 +1,10 @@
 """End-to-end HTTP serving: concurrency, pagination, mutation, drain.
 
-The ISSUE-4 contract, proven over a real socket: N concurrent
-identical ``POST /detect`` requests cost exactly one kernel
-computation (single-flight observed through ``CacheInfo.coalesced``);
-a paginated ``GET /ranking`` traversal equals the unpaginated ranking
+The single-lake serving contract, proven over a real socket: N
+concurrent identical ``POST /lakes/<name>/detect`` requests cost
+exactly one kernel computation (single-flight observed through
+``CacheInfo.coalesced``); a paginated
+``GET /lakes/<name>/ranking`` traversal equals the unpaginated ranking
 byte for byte with no duplicates or gaps; lake mutation during an
 in-flight detect serves stale-but-consistent results without
 poisoning the cache; and shutdown mid-request drains cleanly —
@@ -31,9 +32,9 @@ from repro import (
     ServiceError,
     Table,
     register_measure,
-    start_server,
     unregister_measure,
 )
+from tests.conftest import LAKE, serve_index
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,12 +48,12 @@ needs_dev_shm = pytest.mark.skipif(
 
 @pytest.fixture
 def http_stack(figure1_lake):
-    """A served index on an ephemeral port plus a ready client."""
+    """A served index on an ephemeral port plus a ready lake handle."""
     index = HomographIndex(figure1_lake)
-    server = start_server(index, port=0)
+    server = serve_index(index)
     client = HomographClient(server.url, timeout=30.0)
     client.wait_ready()
-    yield server, client, index
+    yield server, client.lake(LAKE), index
     server.drain()
 
 
@@ -121,14 +122,16 @@ class TestConcurrentDetect:
         server, client, index = http_stack
         client.detect(measure="lcc")
         client.detect(measure="lcc")
-        stats = client.stats()
-        assert stats["cache"]["misses"] == 1
-        assert stats["cache"]["hits"] >= 1
+        stats = HomographClient(server.url).stats()
+        lake = stats["lakes"][LAKE]
+        assert lake == client.stats()
+        assert lake["cache"]["misses"] == 1
+        assert lake["cache"]["hits"] >= 1
         assert stats["http"]["served"] >= 2
         assert stats["http"]["rejected"] == 0
         assert stats["http"]["max_concurrent"] >= 1
-        assert stats["pool"] == {"configured": False}
-        assert stats["closed"] is False
+        assert lake["pool"] == {"configured": False}
+        assert lake["closed"] is False
 
 
 class TestRankingPagination:
@@ -137,7 +140,7 @@ class TestRankingPagination:
     ):
         server, client, index = http_stack
         full = client._request(
-            "POST", "/detect",
+            "POST", f"/lakes/{LAKE}/detect",
             payload={"measure": "betweenness"},
         )["ranking"]
         assert len(full) > 3  # the walk below must need several pages
@@ -229,8 +232,8 @@ class TestDrain:
         self, figure1_lake, slow_measure
     ):
         index = HomographIndex(figure1_lake)
-        server = start_server(index, port=0)
-        client = HomographClient(server.url, timeout=30.0)
+        server = serve_index(index)
+        client = HomographClient(server.url, timeout=30.0).lake(LAKE)
         client.wait_ready()
         result = {}
 
@@ -269,10 +272,10 @@ class TestDrain:
         index = HomographIndex(
             figure1_lake, prune_candidates=False, execution=PERSISTENT_2
         )
-        server = start_server(index, port=0)
+        server = serve_index(index)
         client = HomographClient(server.url, timeout=60.0)
         client.wait_ready()
-        response = client.detect(measure="betweenness")
+        response = client.lake(LAKE).detect(measure="betweenness")
         assert response.scores
         backend = index._backend
         assert backend.pool_alive
@@ -289,8 +292,8 @@ class TestDrain:
 
     def test_closed_index_rejects_detect_with_409(self, figure1_lake):
         index = HomographIndex(figure1_lake)
-        server = start_server(index, port=0)
-        client = HomographClient(server.url, timeout=30.0)
+        server = serve_index(index)
+        client = HomographClient(server.url, timeout=30.0).lake(LAKE)
         client.wait_ready()
         try:
             index.close()  # index gone, socket still accepting
@@ -330,8 +333,8 @@ class TestServeCLI:
             client = HomographClient(
                 f"http://127.0.0.1:{match.group(1)}", timeout=30.0
             )
-            client.wait_ready()
-            response = client.detect(measure="betweenness")
+            (name,) = client.wait_ready()["lakes"]   # the dir's basename
+            response = client.lake(name).detect(measure="betweenness")
             assert "JAGUAR" in response.scores
             proc.send_signal(signal.SIGINT)
             out, err = proc.communicate(timeout=30)
@@ -343,18 +346,69 @@ class TestServeCLI:
         assert "draining" in out
 
 
+class TestLakeHandles:
+    """Lake-level calls go through ``client.lake(name)`` only."""
+
+    @pytest.mark.parametrize("call", [
+        lambda c: c.detect(measure="lcc"),
+        lambda c: c.submit(measure="lcc"),
+        lambda c: c.ranking_page("lcc"),
+        lambda c: c.iter_ranking("lcc"),
+        lambda c: c.add_table(Table.from_columns("t9", {"a": ["1"]})),
+        lambda c: c.remove_table("T1"),
+        lambda c: c.oplog(),
+    ], ids=[
+        "detect", "submit", "ranking_page", "iter_ranking",
+        "add_table", "remove_table", "oplog",
+    ])
+    def test_lake_call_without_a_handle_sends_nothing(
+        self, http_stack, call
+    ):
+        server, _, _ = http_stack
+        client = HomographClient(server.url, timeout=30.0)
+        served = server.http_stats()["served"]
+        with pytest.raises(TypeError, match=r"client\.lake\(name\)"):
+            call(client)
+        assert server.http_stats()["served"] == served
+
+    def test_a_handle_is_the_only_way_to_scope(self, http_stack):
+        server, _, _ = http_stack
+        with pytest.raises(TypeError):
+            HomographClient(server.url, lake=LAKE)
+
+    def test_service_and_job_calls_work_from_both(self, http_stack):
+        server, handle, _ = http_stack
+        client = HomographClient(server.url, timeout=30.0)
+        assert client.healthz() == {"status": "ok", "lakes": [LAKE]}
+        assert handle.healthz()["lake"] == LAKE
+        assert set(client.stats()) == {"lakes", "workspace", "jobs", "http"}
+        assert handle.stats()["tables"] == client.stats()["lakes"][LAKE][
+            "tables"
+        ]
+        job_id = handle.submit(measure="lcc")
+        assert client.wait(job_id).scores == handle.wait(job_id).scores
+        assert client.poll(job_id)["lake"] == LAKE
+        assert handle.cancel_job(job_id)["state"] == "done"
+
+    def test_server_refuses_a_bare_index(self, figure1_lake):
+        from repro import start_server
+
+        with pytest.raises(TypeError, match="attach_index"):
+            start_server(HomographIndex(figure1_lake), port=0)
+
+
 class TestKeepAliveClient:
     """The PR-8 client transport: one socket, stale-retry, 503 retry."""
 
     def test_keep_alive_reuses_one_connection(self, figure1_lake):
         index = HomographIndex(figure1_lake)
-        server = start_server(index, port=0)
+        server = serve_index(index)
         try:
             with HomographClient(
                 server.url, timeout=30.0, keep_alive=True
             ) as client:
                 for _ in range(5):
-                    client.detect(measure="lcc")
+                    client.lake(LAKE).detect(measure="lcc")
                     client.healthz()
                 # Ten requests, zero keep-alive races: the single
                 # persistent connection carried them all.
@@ -364,15 +418,16 @@ class TestKeepAliveClient:
 
     def test_lake_handles_share_the_parent_transport(self, figure1_lake):
         index = HomographIndex(figure1_lake)
-        server = start_server(index, port=0)
+        server = serve_index(index)
         try:
             with HomographClient(
                 server.url, timeout=30.0, keep_alive=True
             ) as client:
-                handle = client.lake("default")
+                handle = client.lake(LAKE)
                 assert handle._transport is client._transport
                 handle.detect(measure="lcc")
-                client.detect(measure="lcc")
+                client.healthz()
+                client.lake(LAKE).detect(measure="lcc")
                 assert client._transport.reconnects == 0
         finally:
             server.drain()
@@ -382,14 +437,14 @@ class TestKeepAliveClient:
         # request timeout; the next call must redial and succeed, not
         # surface the keep-alive race to the caller.
         index = HomographIndex(figure1_lake)
-        server = start_server(index, port=0, request_timeout=0.5)
+        server = serve_index(index, request_timeout=0.5)
         try:
             with HomographClient(
                 server.url, timeout=30.0, keep_alive=True
             ) as client:
-                first = client.detect(measure="lcc")
+                first = client.lake(LAKE).detect(measure="lcc")
                 time.sleep(1.2)          # idle past the server fuse
-                second = client.detect(measure="lcc")
+                second = client.lake(LAKE).detect(measure="lcc")
                 assert [e.value for e in second.ranking] == \
                     [e.value for e in first.ranking]
                 assert client._transport.reconnects <= 1
@@ -405,12 +460,12 @@ class TestKeepAliveClient:
 
         register_measure("slow-for-retry-test", slow)
         index = HomographIndex(figure1_lake)
-        server = start_server(index, port=0, max_concurrent=1)
+        server = serve_index(index, max_concurrent=1)
         try:
             occupant = threading.Thread(
                 target=lambda: HomographClient(
                     server.url, timeout=30.0
-                ).detect(measure="slow-for-retry-test"),
+                ).lake(LAKE).detect(measure="slow-for-retry-test"),
             )
             occupant.start()
             deadline = time.monotonic() + 10
@@ -423,16 +478,16 @@ class TestKeepAliveClient:
             # Without retries the 503 surfaces; with them the client
             # sleeps through the busy window and succeeds.
             with pytest.raises(ServiceError) as info:
-                HomographClient(server.url, timeout=30.0).detect(
-                    measure="lcc"
-                )
+                HomographClient(server.url, timeout=30.0).lake(
+                    LAKE
+                ).detect(measure="lcc")
             assert info.value.overloaded
             assert info.value.scope == "global"
             patient = HomographClient(
                 server.url, timeout=30.0,
                 retry_overloaded=50, retry_backoff=0.1,
             )
-            response = patient.detect(measure="lcc")
+            response = patient.lake(LAKE).detect(measure="lcc")
             assert response.measure == "lcc"
             occupant.join(30)
         finally:

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from tests.conftest import make_figure1_lake
+from tests.conftest import LAKE, make_figure1_lake, serve_index
 
 from repro import (
     DataLake,
@@ -22,7 +22,6 @@ from repro import (
     HomographClient,
     HomographIndex,
     Table,
-    start_server,
 )
 from repro.core.builder import build_graph
 from repro.core.delta import LakeLedger, plan_mutation, table_column_counts
@@ -310,9 +309,9 @@ class TestCacheDiscipline:
         index = HomographIndex(make_figure1_lake())
         index.detect(measure="lcc")
         assert index.stats()["mutation"] is None
-        server = start_server(index, port=0)
+        server = serve_index(index)
         try:
-            client = HomographClient(server.url, timeout=30.0)
+            client = HomographClient(server.url, timeout=30.0).lake(LAKE)
             client.wait_ready()
             body = client.add_table(table("TX", DISJOINT_TABLE))
             mutation = body["mutation"]

@@ -311,7 +311,8 @@ class TestHTTPMounts:
         server.drain()
 
     def client(self, server, lake=None):
-        return HomographClient(server.url, token=self.TOKEN, lake=lake)
+        client = HomographClient(server.url, token=self.TOKEN)
+        return client if lake is None else client.lake(lake)
 
     def test_mount_requires_auth(self, served, snapshot_dir):
         anonymous = HomographClient(served.url)
@@ -441,7 +442,7 @@ class TestJobPersistence:
         workspace.attach("main", figure1_lake)
         server = start_server(workspace, port=0, job_dir=str(spill))
         try:
-            client = HomographClient(server.url, lake="main")
+            client = HomographClient(server.url).lake("main")
             job_id = client.submit(measure="lcc")
             client.wait(job_id, timeout=30)
         finally:

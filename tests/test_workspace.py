@@ -61,8 +61,6 @@ def two_lakes():
 class TestMembership:
     def test_attach_get_names_default(self, two_lakes):
         assert two_lakes.names() == ("zoo", "cars")
-        assert two_lakes.default_name == "zoo"
-        assert two_lakes.default_index() is two_lakes.get("zoo")
         assert len(two_lakes) == 2
         assert "cars" in two_lakes and "nope" not in two_lakes
         assert list(two_lakes) == ["zoo", "cars"]
@@ -102,7 +100,6 @@ class TestMembership:
         detached = two_lakes.detach("zoo")
         assert detached is zoo and zoo.closed
         assert two_lakes.names() == ("cars",)
-        assert two_lakes.default_name == "cars"
         # The sibling keeps serving.
         assert two_lakes.get("cars").detect(measure="lcc").scores
 
@@ -234,8 +231,8 @@ class TestWorkspaceStats:
     def test_stats_shape(self, two_lakes):
         two_lakes.get("zoo").detect(measure="lcc")
         stats = two_lakes.stats()
+        assert set(stats) == {"lakes", "closed", "quotas", "pool"}
         assert set(stats["lakes"]) == {"zoo", "cars"}
-        assert stats["default_lake"] == "zoo"
         assert stats["closed"] is False
         assert stats["pool"] == {"configured": False}
         assert stats["lakes"]["zoo"]["cache"]["misses"] == 1

@@ -4,9 +4,10 @@ The CI ``http-smoke`` job's entry point.  Serves a two-lake
 :class:`repro.Workspace` (the TUS *small* fixture plus a second SB
 lake) through the real :mod:`repro.serving.http` stack — one shared
 persistent 2-worker pool across both lakes — drives the namespaced
-routes, the legacy aliases, and an async job to completion with the
-bundled :class:`repro.serving.client.HomographClient`, drains, and
-then fails on any of the leak classes an in-process test can miss:
+routes and an async job to completion with the bundled
+:class:`repro.serving.client.HomographClient`, checks that no
+un-prefixed lake route answers, drains, and then fails on any of the
+leak classes an in-process test can miss:
 
 * a ``ResourceWarning`` raised anywhere during the run or surfaced by
   the final garbage-collection sweep (unclosed sockets, files);
@@ -51,16 +52,14 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 def drive(client, tus_size: int, sb_size: int) -> None:
     """Exercise the multi-lake surface against the served workspace."""
-    from repro import Table
+    from repro import ServiceError, Table
 
     health = client.healthz()
-    assert health["status"] == "ok", health
-    assert health["tables"] == tus_size, health       # default = tus
-    assert health["lakes"] == ["tus", "sb"], health
+    assert health == {"status": "ok", "lakes": ["tus", "sb"]}, health
 
     listing = client.lakes()
-    assert listing["default"] == "tus", listing
     by_name = {lake["name"]: lake for lake in listing["lakes"]}
+    assert by_name["tus"]["tables"] == tus_size, listing
     assert by_name["sb"]["tables"] == sb_size, listing
 
     tus = client.lake("tus")
@@ -77,9 +76,13 @@ def drive(client, tus_size: int, sb_size: int) -> None:
     assert sb_response.scores
     assert set(sb_response.scores) != set(first.scores)
 
-    # Legacy un-prefixed routes alias the default (tus) lake.
-    legacy = client.detect(measure="betweenness", sample_size=60, seed=7)
-    assert legacy.cached and legacy.scores == first.scores
+    # A lake is reached only by name: the un-prefixed route is gone.
+    try:
+        client._request("POST", "/detect", payload={"measure": "lcc"})
+    except ServiceError as error:
+        assert (error.status, error.code) == (404, "unknown-route"), error
+    else:
+        raise AssertionError("un-prefixed POST /detect answered")
 
     # Cursor pagination must cover the ranking exactly once (and the
     # pages travel gzip-compressed — the client decompresses).
@@ -114,7 +117,7 @@ def drive(client, tus_size: int, sb_size: int) -> None:
 
     stats = client.stats()
     assert set(stats["lakes"]) == {"tus", "sb"}, stats
-    assert stats["cache"]["misses"] >= 2, stats
+    assert stats["lakes"]["tus"]["cache"]["misses"] >= 2, stats
     assert stats["http"]["rejected"] == 0, stats
     # The two-level admission gate: fair by default, one quota slot
     # per mounted lake, and this single-client drive never rejects.
@@ -130,7 +133,8 @@ def drive(client, tus_size: int, sb_size: int) -> None:
     assert stats["workspace"]["pool"]["alive"] is True, stats
     assert stats["workspace"]["pool"]["jobs"] == 2, stats
     print(f"drove {stats['http']['served']} responses; "
-          f"cache={stats['cache']}; pool={stats['workspace']['pool']}; "
+          f"tus cache={stats['lakes']['tus']['cache']}; "
+          f"pool={stats['workspace']['pool']}; "
           f"jobs={stats['jobs']}")
 
 
@@ -138,9 +142,10 @@ def check_body_bytes(server, index, lake: str, request) -> None:
     """Raw response bytes equal the in-process ``json.dumps`` bytes.
 
     Over one keep-alive connection, with no ``Accept-Encoding``, fetch
-    a full ``POST /detect`` export and a cursor walk of ``GET
-    /ranking`` pages, twice: the first pass fills the cached ranking's
-    memo of encoded rows, the second is served from it.  Every body
+    a full ``POST /lakes/<lake>/detect`` export and a cursor walk of
+    ``GET /lakes/<lake>/ranking`` pages, twice: the first pass fills
+    the cached ranking's memo of encoded rows, the second is served
+    from it.  Every body
     must equal ``json.dumps(..., sort_keys=True)`` of the in-process
     answer — ``DetectResponse.to_dict()`` for the export,
     ``RankingPage.to_dict()`` plus ``cached`` for each page.
@@ -280,9 +285,7 @@ def scenario_snapshot() -> None:
             workspace, port=0, job_dir=str(jobs_dir(snap))
         )
         try:
-            client = HomographClient(
-                server.url, timeout=120.0, lake="tus"
-            )
+            client = HomographClient(server.url, timeout=120.0).lake("tus")
             client.wait_ready(timeout=30.0)
             warm = client.detect(measure="lcc")
             assert warm.cached, "snapshot cache was not pre-warmed"
@@ -316,9 +319,7 @@ def scenario_snapshot() -> None:
                 server, workspace.get("tus"), "tus",
                 DetectRequest(measure="lcc"),
             )
-            tus_client = HomographClient(
-                server.url, timeout=120.0, lake="tus"
-            )
+            tus_client = base.lake("tus")
             again = tus_client.detect(measure="lcc")
             assert again.cached, "restart lost the warmed cache"
 
@@ -429,11 +430,10 @@ def scenario_cluster() -> None:
             ), supervisor.replicas.stats()
             primary_rank = list(HomographClient(
                 supervisor.replicas.primary.url, timeout=120.0,
-                lake="sb",
-            ).iter_ranking("lcc"))
+            ).lake("sb").iter_ranking("lcc"))
             replica_rank = list(HomographClient(
-                replica.url, timeout=120.0, lake="sb",
-            ).iter_ranking("lcc"))
+                replica.url, timeout=120.0,
+            ).lake("sb").iter_ranking("lcc"))
             assert primary_rank == replica_rank, "replica diverged"
             print(f"replicated 2 mutations; rankings identical over "
                   f"{len(primary_rank)} entries")
