@@ -11,8 +11,11 @@ Times the two ways a process can start serving the TUS *small* lake:
 
 The headline assertion is the subsystem's reason to exist: mounting
 the snapshot must be at least ``MIN_SPEEDUP``× faster than the cold
-rebuild, with identical scores.  Artifacts: ``BENCH_PR6.json`` at the
-repo root (machine-readable) and
+rebuild, with identical scores.  A mount reads ``lake.json`` but
+parses it on the lake's first use, so the report also gives that
+deferred cost — the first lake access after a mount — next to the
+mount; it is reported, not asserted.  Artifacts: ``BENCH_PR6.json``
+at the repo root (machine-readable) and
 ``benchmarks/results/snapshot_coldstart.txt`` (human-readable),
 mirroring the PR-2/PR-3 harnesses.
 """
@@ -71,6 +74,14 @@ def _snapshot_start(snapshot: Path):
     return seconds, responses
 
 
+def _first_lake_access(snapshot: Path) -> float:
+    """Seconds of the first lake access after a mount (the lake parse)."""
+    with HomographIndex.load(snapshot) as index:
+        start = time.perf_counter()
+        index.lake.table_names
+        return time.perf_counter() - start
+
+
 def test_snapshot_mount_beats_cold_rebuild(
     tmp_path, results_dir, bench_dir
 ):
@@ -92,6 +103,7 @@ def test_snapshot_mount_beats_cold_rebuild(
         save_seconds = time.perf_counter() - save_start
 
     snapshot_seconds, snapshot_responses = _snapshot_start(snapshot)
+    lake_seconds = _first_lake_access(snapshot)
 
     for cold, warm in zip(cold_responses, snapshot_responses):
         assert warm.scores == cold.scores, (
@@ -118,6 +130,7 @@ def test_snapshot_mount_beats_cold_rebuild(
             "cold_start_s": round(cold_seconds, 4),
             "snapshot_start_s": round(snapshot_seconds, 4),
             "snapshot_save_s": round(save_seconds, 4),
+            "first_lake_access_s": round(lake_seconds, 4),
             "speedup": round(speedup, 1),
             "min_speedup_asserted": MIN_SPEEDUP,
             "snapshot_bytes": snapshot_bytes,
@@ -127,8 +140,10 @@ def test_snapshot_mount_beats_cold_rebuild(
             "note": (
                 "cold = CSV load + graph build + both rankings; "
                 "snapshot = verify + mmap + both rankings as cache "
-                "hits; absolute times are host-dependent, the "
-                ">=10x ordering is asserted"
+                "hits; first_lake_access = the deferred lake.json "
+                "parse on the first lake use after a mount (reported, "
+                "not asserted); absolute times are host-dependent, "
+                "the >=10x ordering is asserted"
             ),
         },
     }
@@ -144,6 +159,8 @@ def test_snapshot_mount_beats_cold_rebuild(
         f"(CSV load + graph build + rankings)",
         f"snapshot mount {snapshot_seconds * 1000:9.1f}ms  "
         f"(verify + mmap + cache hits)",
+        f"first lake use {lake_seconds * 1000:9.1f}ms  "
+        f"(deferred lake.json parse; reported, not asserted)",
         f"speedup        {speedup:9.1f}x  (asserted >= {MIN_SPEEDUP:.0f}x)",
         f"snapshot size  {snapshot_bytes / 1024:9.1f}KiB  "
         f"(saved in {save_seconds * 1000:.1f}ms)",

@@ -141,7 +141,7 @@ from .cluster import (
     start_cluster,
 )
 
-__version__ = "2.0.0"
+__version__ = "2.1.0"
 
 __all__ = [
     "BipartiteGraph",

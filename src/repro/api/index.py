@@ -136,7 +136,7 @@ def execute_request(
     return DetectResponse(
         measure=request.measure,
         ranking=ranking,
-        scores={entry.value: entry.score for entry in ranking},
+        scores=ranking.scores,
         descending=output.descending,
         graph_seconds=graph_seconds,
         measure_seconds=measure_seconds,
@@ -895,12 +895,11 @@ class HomographIndex:
     def _serve(stored: DetectResponse, cached: bool) -> DetectResponse:
         """Copy the mutable parts so callers cannot poison the cache.
 
-        The ranking is shared: its entries are frozen and it is treated
-        as immutable throughout.
+        The ranking and its read-only ``scores`` view are shared: a
+        ranking is immutable throughout.
         """
         return replace(
             stored,
-            scores=dict(stored.scores),
             parameters=dict(stored.parameters),
             cached=cached,
         )

@@ -138,11 +138,7 @@ def _rebuild(
     ranking = HomographRanking(
         scores, descending=response.descending, measure=response.measure
     )
-    return dataclass_replace(
-        response,
-        ranking=ranking,
-        scores={entry.value: entry.score for entry in ranking},
-    )
+    return dataclass_replace(response, ranking=ranking, scores=ranking.scores)
 
 
 def _value_frontiers(delta: GraphDelta) -> np.ndarray:

@@ -17,30 +17,16 @@ two measures.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core.betweenness import ENDPOINT_MODES
 from ..core.lcc import LCC_VARIANTS
 from ..core.ranking import HomographRanking, RankedValue, splice_rows
-from ..perf.config import ExecutionConfig
+from ..perf.config import ExecutionConfig, check_count
 
 #: Serialization schema version, bumped on incompatible layout changes.
 SCHEMA_VERSION = 1
-
-
-def _check_count(name: str, value: object, minimum: int) -> None:
-    """``value`` must be ``None`` or an integer ``>= minimum``.
-
-    numpy integers pass; ``bool`` does not, though it is an ``int``.
-    """
-    if value is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
 def _check_choice(name: str, value: object, choices: Tuple) -> None:
@@ -126,8 +112,8 @@ class DetectRequest:
             sorted((str(k), _hashable_option(v)) for k, v in pairs)
         )
         object.__setattr__(self, "options", normalized)
-        _check_count("sample_size", self.sample_size, 1)
-        _check_count("seed", self.seed, 0)
+        check_count("sample_size", self.sample_size, 1)
+        check_count("seed", self.seed, 0)
         _check_choice("lcc_variant", self.lcc_variant, LCC_VARIANTS)
         _check_choice("endpoints", self.endpoints, ENDPOINT_MODES)
         if isinstance(self.execution, Mapping):
@@ -196,14 +182,17 @@ class DetectResponse:
     """Outcome of one detection run, serializable end to end.
 
     ``ranking`` orders every scored value (best candidate first) and
-    ``scores`` is the same data as a map.  ``cached`` marks responses
-    served from a :class:`~repro.api.index.HomographIndex` score cache
-    without recomputation; their timings are those of the original run.
+    ``scores`` is the same data as a map: on every response the
+    library builds, the ranking's read-only
+    :class:`~repro.core.ranking.RankingScores` view, not a copy.
+    ``cached`` marks responses served from a
+    :class:`~repro.api.index.HomographIndex` score cache without
+    recomputation; their timings are those of the original run.
     """
 
     measure: str
     ranking: HomographRanking
-    scores: Dict[str, float]
+    scores: Mapping[str, float]
     descending: bool
     graph_seconds: float
     measure_seconds: float
@@ -242,11 +231,10 @@ class DetectResponse:
         entries (the CLI's ``--json`` uses this to keep payloads small);
         ``None`` serializes everything.
         """
-        entries = self.ranking.top(top) if top is not None else list(
-            self.ranking
-        )
+        if top is not None and top < 0:
+            raise ValueError("top must be non-negative")
         payload = self._envelope()
-        payload["ranking"] = [entry.to_dict() for entry in entries]
+        payload["ranking"] = self.ranking.entry_dicts(top)
         return payload
 
     def to_json_bytes(self, top: Optional[int] = None) -> bytes:
@@ -272,32 +260,43 @@ class DetectResponse:
         """Rebuild a response from :meth:`to_dict` output.
 
         Rejects payloads whose ``schema`` does not match this build's
-        :data:`SCHEMA_VERSION`.
+        :data:`SCHEMA_VERSION`, and rankings whose ranks are not
+        ``1..n`` in order (:class:`ValueError`).
         """
+        # The version first: a newer layout fails on it, not on a row.
+        cls._check_schema(payload)
+        descending = bool(payload["descending"])
+        measure = str(payload["measure"])
+        return cls.from_envelope(payload, HomographRanking.from_rows(
+            payload["ranking"], descending=descending, measure=measure
+        ))
+
+    @staticmethod
+    def _check_schema(payload: Mapping) -> None:
         schema = payload.get("schema")
         if schema != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported DetectResponse schema {schema!r}; "
                 f"this build reads schema {SCHEMA_VERSION}"
             )
-        entries = [
-            RankedValue(
-                rank=int(e["rank"]),
-                value=str(e["value"]),
-                score=float(e["score"]),
-            )
-            for e in payload["ranking"]
-        ]
-        descending = bool(payload["descending"])
-        measure = str(payload["measure"])
+
+    @classmethod
+    def from_envelope(
+        cls, payload: Mapping, ranking: HomographRanking
+    ) -> "DetectResponse":
+        """A response from :meth:`to_dict` fields and a built ranking.
+
+        Checks ``schema`` as :meth:`from_dict` does;
+        ``payload["ranking"]``, if present, is not read (the snapshot
+        loader stores the rows as columns beside the envelope).
+        """
+        cls._check_schema(payload)
         request_payload = payload.get("request")
         return cls(
-            measure=measure,
-            ranking=HomographRanking.from_entries(
-                entries, descending=descending, measure=measure
-            ),
-            scores={e.value: e.score for e in entries},
-            descending=descending,
+            measure=str(payload["measure"]),
+            ranking=ranking,
+            scores=ranking.scores,
+            descending=bool(payload["descending"]),
             graph_seconds=float(payload["graph_seconds"]),
             measure_seconds=float(payload["measure_seconds"]),
             parameters=dict(payload.get("parameters") or {}),

@@ -243,8 +243,9 @@ class BipartiteGraph:
         The snapshot loader's constructor: ``indptr``/``indices`` are
         taken by reference (they may be read-only ``np.memmap`` views
         over a snapshot file), validated structurally — length,
-        monotonicity, symmetric edge count, index range — and frozen.
-        Raises :class:`GraphError` on any inconsistency.
+        monotonicity, symmetric edge count, index range, strictly
+        ascending rows (what :meth:`splice_rows` merges assume) — and
+        frozen.  Raises :class:`GraphError` on any inconsistency.
         """
         n_val = len(value_names)
         n = n_val + len(attribute_names)
@@ -271,6 +272,17 @@ class BipartiteGraph:
             int(indices.min()) < 0 or int(indices.max()) >= n
         ):
             raise GraphError("neighbor id out of range")
+        # Each row strictly ascending: a non-increasing step is only
+        # allowed where a row starts.
+        unsorted = np.diff(indices) <= 0
+        starts = indptr[1:-1]
+        starts = starts[(starts > 0) & (starts < indices.shape[0])]
+        unsorted[starts - 1] = False
+        if bool(unsorted.any()):
+            raise GraphError(
+                "CSR rows must be strictly ascending (sorted, without "
+                "duplicate neighbors)"
+            )
 
         graph = cls.__new__(cls)
         graph._value_names = list(value_names)

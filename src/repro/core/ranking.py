@@ -6,6 +6,13 @@ betweenness centrality (Hypothesis 3.5), ascending for the local
 clustering coefficient (Hypothesis 3.4).  Ties break lexicographically
 on the value name so rankings are deterministic across runs.
 
+A ranking is stored as two parallel columns in rank order — value
+names and scores — and builds :class:`RankedValue` entries only when
+they are read.  :meth:`HomographRanking.rank_of`,
+:meth:`~HomographRanking.score_of` and the read-only
+:class:`RankingScores` mapping share one name → position index, built
+on first use.
+
 Every JSON body that carries ranking entries (a ``DetectResponse``
 payload, a ranking page) is spliced from rows encoded here, once per
 ranking: :meth:`HomographRanking.encoded_rows` memoizes each entry's
@@ -20,8 +27,9 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field
+from itertools import count
 from json.encoder import encode_basestring_ascii
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 #: ``json.dumps(obj, sort_keys=True)`` without a new encoder per call.
 _JSON = json.JSONEncoder(sort_keys=True)
@@ -40,20 +48,19 @@ class RankedValue:
         return {"rank": self.rank, "value": self.value, "score": self.score}
 
 
-def _encode_row(entry: RankedValue) -> str:
-    """``json.dumps(entry.to_dict(), sort_keys=True)``, written directly.
+def _encode_row(rank: int, value: str, score: float) -> str:
+    """``json.dumps(RankedValue(...).to_dict(), sort_keys=True)``, directly.
 
     A plain finite float prints as ``float.__repr__``, as the json
     encoder prints it; anything else (``NaN``, ``±Infinity``, a float
     subclass) goes through the encoder itself.
     """
-    score = entry.score
     if type(score) is float and math.isfinite(score):
         score_text = float.__repr__(score)
     else:
         score_text = _JSON.encode(score)
     return '{"rank": %d, "score": %s, "value": %s}' % (
-        entry.rank, score_text, encode_basestring_ascii(entry.value),
+        rank, score_text, encode_basestring_ascii(value),
     )
 
 
@@ -82,17 +89,51 @@ def splice_rows(
     ).encode("utf-8")
 
 
+class RankedSlice(Sequence[RankedValue]):
+    """Entries ``[start:stop]`` of a ranking, each built when read.
+
+    What :meth:`HomographRanking.page` puts in ``RankingPage.entries``:
+    a served page is spliced from encoded rows and never reads them.
+    Compares equal to any sequence with the same entries.
+    """
+
+    __slots__ = ("_ranking", "_positions")
+
+    def __init__(self, ranking: "HomographRanking", start: int, stop: int):
+        self._ranking = ranking
+        self._positions = range(start, stop)
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def __getitem__(self, index):
+        positions = self._positions[index]
+        if isinstance(positions, range):
+            return [self._ranking._entry(p) for p in positions]
+        return self._ranking._entry(positions)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass(frozen=True)
 class RankingPage:
     """One page of a cursor-paginated ranking traversal.
 
     ``entries`` are consecutive :class:`RankedValue` items in rank
-    order; ``next_cursor`` is the opaque token for the following page,
-    or ``None`` on the last page; ``total`` is the full ranking size,
-    so clients can show progress without walking to the end.
+    order (from :meth:`HomographRanking.page`, a :class:`RankedSlice`
+    built on access); ``next_cursor`` is the opaque token for the
+    following page, or ``None`` on the last page; ``total`` is the
+    full ranking size, so clients can show progress without walking
+    to the end.
     """
 
-    entries: List[RankedValue]
+    entries: Sequence[RankedValue]
     next_cursor: Optional[str]
     total: int
     measure: str
@@ -127,7 +168,9 @@ class RankingPage:
         ``cached`` flag).
         """
         if self.ranking is None:
-            rows = _join_rows([_encode_row(e) for e in self.entries])
+            rows = _join_rows(
+                [_encode_row(e.rank, e.value, e.score) for e in self.entries]
+            )
         else:
             rows = self.ranking.encoded_rows(
                 self.start, self.start + len(self.entries)
@@ -135,10 +178,46 @@ class RankingPage:
         return splice_rows({**self._envelope(), **extra}, "entries", rows)
 
 
+class RankingScores(Mapping[str, float]):
+    """Read-only ``value -> score`` mapping over a ranking's columns.
+
+    What :attr:`DetectResponse.scores <repro.api.DetectResponse>`
+    holds: no copy of the scores is made, lookups go through the
+    ranking's name index, and iteration runs in rank order.
+    """
+
+    __slots__ = ("_ranking",)
+
+    def __init__(self, ranking: "HomographRanking") -> None:
+        self._ranking = ranking
+
+    def __getitem__(self, value: str) -> float:
+        position = self._ranking._positions().get(value)
+        if position is None:
+            raise KeyError(value)
+        return self._ranking._scores[position]
+
+    def __contains__(self, value: object) -> bool:
+        return value in self._ranking._positions()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._ranking._values)
+
+    def __len__(self) -> int:
+        return len(self._ranking._values)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
 class HomographRanking:
     """An ordered list of candidate values with scores.
 
-    Iterating yields :class:`RankedValue` entries, best candidate first.
+    Stored as two parallel columns in rank order: the value names and
+    their scores (the same ``float`` objects the entries carry, so
+    equality, hashing and row encoding see one set of objects).
+    Iterating yields :class:`RankedValue` entries, best candidate
+    first, built on access.
     """
 
     def __init__(
@@ -152,27 +231,51 @@ class HomographRanking:
         )
         ordered = sorted(scores.items(), key=key)
         self._adopt(
-            [
-                RankedValue(rank=i + 1, value=value, score=float(score))
-                for i, (value, score) in enumerate(ordered)
-            ],
+            [value for value, _ in ordered],
+            [float(score) for _, score in ordered],
             descending,
             measure,
         )
 
     def _adopt(
-        self, entries: List[RankedValue], descending: bool, measure: str
+        self,
+        values: List[str],
+        scores: List[float],
+        descending: bool,
+        measure: str,
     ) -> None:
+        if len(values) != len(scores):
+            raise ValueError(
+                f"{len(values)} values but {len(scores)} scores"
+            )
         self.measure = measure
         self.descending = descending
-        self._entries = entries
-        self._by_value: Dict[str, RankedValue] = {
-            entry.value: entry for entry in entries
-        }
-        # The JSON rows of the first len(_rows) entries, in rank order;
-        # encoded_rows() grows it under _rows_lock.
+        self._values = values
+        self._scores = scores
+        # Built on first use, under _lock: the name -> position index
+        # behind rank_of/score_of/scores, and the JSON rows of the
+        # first len(_rows) entries, which encoded_rows() grows.
+        self._index: Optional[Dict[str, int]] = None
         self._rows: List[str] = []
-        self._rows_lock = threading.Lock()
+        self._lock = threading.Lock()
+
+    @classmethod
+    def from_columns(
+        cls,
+        values: Sequence[str],
+        scores: Sequence[float],
+        descending: bool,
+        measure: str,
+    ) -> "HomographRanking":
+        """Adopt value names and scores that are already in rank order.
+
+        Used by deserialization: the stored order is authoritative, so
+        no re-sort happens (scores serialized from an approximate run
+        must not be re-ranked differently on load).
+        """
+        ranking = cls.__new__(cls)
+        ranking._adopt(list(values), list(scores), descending, measure)
+        return ranking
 
     @classmethod
     def from_entries(
@@ -181,23 +284,38 @@ class HomographRanking:
         descending: bool,
         measure: str,
     ) -> "HomographRanking":
-        """Rebuild a ranking from already-ordered entries.
+        """Rebuild a ranking from entries in rank order.
 
-        Used by deserialization: the stored order is authoritative, so
-        no re-sort happens (scores serialized from an approximate run
-        must not be re-ranked differently on load).
+        Raises :class:`ValueError` unless the ranks are ``1..n`` in
+        order.
         """
-        ranking = cls.__new__(cls)
-        ranking._adopt(list(entries), descending, measure)
-        return ranking
+        _check_ranks([entry.rank for entry in entries])
+        return cls.from_columns(
+            [entry.value for entry in entries],
+            [entry.score for entry in entries],
+            descending,
+            measure,
+        )
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe representation; inverse of :meth:`from_dict`."""
         return {
             "measure": self.measure,
             "descending": self.descending,
-            "entries": [entry.to_dict() for entry in self._entries],
+            "entries": self.entry_dicts(),
         }
+
+    def entry_dicts(self, stop: Optional[int] = None) -> List[Dict]:
+        """``[entry.to_dict() for entry in self.top(stop)]``, from the columns.
+
+        ``stop=None`` means every entry.
+        """
+        return [
+            {"rank": rank, "value": value, "score": score}
+            for rank, value, score in zip(
+                count(1), self._values[:stop], self._scores[:stop]
+            )
+        ]
 
     def encoded_rows(self, start: int = 0, stop: Optional[int] = None) -> str:
         """The JSON list of entries ``[start:stop]``, as ``json.dumps``.
@@ -210,34 +328,55 @@ class HomographRanking:
         """
         if start < 0 or (stop is not None and stop < start):
             raise ValueError(f"invalid row range [{start}:{stop}]")
-        size = len(self._entries)
+        size = len(self._values)
         stop = size if stop is None else min(stop, size)
         if len(self._rows) < stop:
-            with self._rows_lock:
+            with self._lock:
                 done = len(self._rows)
                 if done < stop:
                     # One extend of a finished list: readers outside
                     # the lock never see a partly encoded row.
-                    self._rows.extend(
-                        [_encode_row(e) for e in self._entries[done:stop]]
-                    )
+                    self._rows.extend([
+                        _encode_row(rank, value, score)
+                        for rank, value, score in zip(
+                            count(done + 1),
+                            self._values[done:stop],
+                            self._scores[done:stop],
+                        )
+                    ])
         return _join_rows(self._rows[start:stop])
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "HomographRanking":
-        """Rebuild a ranking serialized by :meth:`to_dict`."""
-        entries = [
-            RankedValue(
-                rank=int(e["rank"]),
-                value=str(e["value"]),
-                score=float(e["score"]),
-            )
-            for e in payload["entries"]
-        ]
-        return cls.from_entries(
-            entries,
+        """Rebuild a ranking serialized by :meth:`to_dict`.
+
+        Raises :class:`ValueError` unless the entries' ranks are
+        ``1..n`` in order.
+        """
+        return cls.from_rows(
+            payload["entries"],
             descending=bool(payload["descending"]),
             measure=str(payload["measure"]),
+        )
+
+    @classmethod
+    def from_rows(
+        cls,
+        rows: Sequence[Mapping],
+        descending: bool,
+        measure: str,
+    ) -> "HomographRanking":
+        """A ranking from its JSON rows (``{"rank", "value", "score"}``).
+
+        Raises :class:`ValueError` unless the ranks are ``1..n`` in
+        order.
+        """
+        _check_ranks([int(row["rank"]) for row in rows])
+        return cls.from_columns(
+            [str(row["value"]) for row in rows],
+            [float(row["score"]) for row in rows],
+            descending,
+            measure,
         )
 
     def __eq__(self, other: object) -> bool:
@@ -246,30 +385,43 @@ class HomographRanking:
         return (
             self.measure == other.measure
             and self.descending == other.descending
-            and self._entries == other._entries
+            and self._values == other._values
+            and self._scores == other._scores
         )
 
     def __hash__(self) -> int:
-        return hash((self.measure, self.descending, tuple(self._entries)))
+        return hash((
+            self.measure,
+            self.descending,
+            tuple(self._values),
+            tuple(self._scores),
+        ))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._values)
 
     def __iter__(self) -> Iterator[RankedValue]:
-        return iter(self._entries)
+        return map(RankedValue, count(1), self._values, self._scores)
 
     def __getitem__(self, index: int) -> RankedValue:
-        return self._entries[index]
+        return RankedSlice(self, 0, len(self._values))[index]
+
+    def _entry(self, position: int) -> RankedValue:
+        return RankedValue(
+            position + 1, self._values[position], self._scores[position]
+        )
 
     def top(self, k: int) -> List[RankedValue]:
         """The best ``k`` candidates (all of them if ``k`` exceeds size)."""
         if k < 0:
             raise ValueError("k must be non-negative")
-        return self._entries[:k]
+        return self[:k]
 
     def top_values(self, k: int) -> List[str]:
         """Just the value strings of the top ``k`` candidates."""
-        return [entry.value for entry in self.top(k)]
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        return self._values[:k]
 
     def page(
         self, cursor: Optional[str] = None, limit: int = 100
@@ -280,8 +432,8 @@ class HomographRanking:
         ``next_cursor`` to pass back for the following one (``None``
         once the ranking is exhausted), so a client walks the whole
         ranking in ``limit``-sized slices.  Pages are plain slices of
-        the already-materialized entry list — no per-page re-sort or
-        full-ranking re-serialization happens.
+        the ranking's columns — no per-page re-sort or full-ranking
+        re-serialization happens.
 
         Raises :class:`ValueError` on a non-positive ``limit`` or a
         cursor that this ranking did not hand out (tokens are
@@ -290,6 +442,7 @@ class HomographRanking:
         """
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
+        size = len(self._values)
         if cursor is None:
             start = 0
         else:
@@ -301,37 +454,66 @@ class HomographRanking:
             ):
                 raise ValueError(f"invalid ranking cursor {cursor!r}")
             start = int(cursor)
-            if start > len(self._entries):
+            if start > size:
                 raise ValueError(
                     f"ranking cursor {cursor!r} is past the end "
-                    f"({len(self._entries)} entries)"
+                    f"({size} entries)"
                 )
         stop = start + limit
-        entries = self._entries[start:stop]
-        next_cursor = str(stop) if stop < len(self._entries) else None
         return RankingPage(
-            entries=entries,
-            next_cursor=next_cursor,
-            total=len(self._entries),
+            entries=RankedSlice(self, start, min(stop, size)),
+            next_cursor=str(stop) if stop < size else None,
+            total=size,
             measure=self.measure,
             descending=self.descending,
             ranking=self,
             start=start,
         )
 
+    def _positions(self) -> Dict[str, int]:
+        """The name -> position index, built once on first use."""
+        index = self._index
+        if index is None:
+            with self._lock:
+                index = self._index
+                if index is None:
+                    index = {
+                        value: position
+                        for position, value in enumerate(self._values)
+                    }
+                    self._index = index
+        return index
+
     def rank_of(self, value: str) -> Optional[int]:
         """1-based rank of a value, or ``None`` if absent."""
-        entry = self._by_value.get(value)
-        return entry.rank if entry else None
+        position = self._positions().get(value)
+        return None if position is None else position + 1
 
     def score_of(self, value: str) -> Optional[float]:
-        entry = self._by_value.get(value)
-        return entry.score if entry else None
+        position = self._positions().get(value)
+        return None if position is None else self._scores[position]
+
+    @property
+    def scores(self) -> RankingScores:
+        """A read-only ``value -> score`` mapping over this ranking."""
+        return RankingScores(self)
 
     @property
     def values(self) -> List[str]:
         """All values in rank order."""
-        return [entry.value for entry in self._entries]
+        return list(self._values)
+
+    def columns(self) -> Tuple[List[str], List[float]]:
+        """Copies of the two columns: value names and scores, rank order."""
+        return list(self._values), list(self._scores)
+
+
+def _check_ranks(ranks: List[int]) -> None:
+    """Stored ranks must be ``1..n`` in order; a ranking keeps no others."""
+    if ranks != list(range(1, len(ranks) + 1)):
+        raise ValueError(
+            "ranking entries must carry ranks 1..n in order"
+        )
 
 
 def rank_by_betweenness(scores: Mapping[str, float]) -> HomographRanking:

@@ -16,13 +16,27 @@ tolerance — identically, when the chunking is pinned.
 
 from __future__ import annotations
 
+import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional
 
 #: Recognized backend names.  ``auto`` picks ``process`` when more
 #: than one worker is requested and ``serial`` otherwise.
 BACKEND_NAMES = ("auto", "serial", "process")
+
+
+def check_count(name: str, value: object, minimum: int) -> None:
+    """``value`` must be ``None`` or an integer ``>= minimum``.
+
+    numpy integers pass; ``bool`` does not, though it is an ``int``.
+    """
+    if value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
 def available_cores() -> int:
@@ -74,10 +88,12 @@ class ExecutionConfig:
                 f"unknown execution backend {self.backend!r}; "
                 f"expected one of {BACKEND_NAMES}"
             )
-        if self.n_jobs is not None and self.n_jobs < 1:
-            raise ValueError("n_jobs must be >= 1")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
+        check_count("n_jobs", self.n_jobs, 1)
+        check_count("chunk_size", self.chunk_size, 1)
+        if not isinstance(self.persistent, bool):
+            raise TypeError(
+                f"persistent must be a bool, got {self.persistent!r}"
+            )
 
     @property
     def effective_jobs(self) -> int:
@@ -116,11 +132,18 @@ class ExecutionConfig:
         """Rebuild a config from :meth:`to_dict` output.
 
         Older payloads without ``persistent`` default to the per-call
-        behavior.
+        behavior.  An unknown key raises :class:`ValueError` naming
+        it, so a misspelling cannot run silently with the defaults.
         """
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(set(payload) - set(known))
+        if unknown:
+            raise ValueError(
+                f"unknown execution field(s) {unknown}; expected {known}"
+            )
         return cls(
             backend=str(payload.get("backend", "auto")),
             n_jobs=payload.get("n_jobs"),
             chunk_size=payload.get("chunk_size"),
-            persistent=bool(payload.get("persistent", False)),
+            persistent=payload.get("persistent", False),
         )

@@ -1441,6 +1441,14 @@ class HomographRequestHandler(KeepAliveRequestHandler):
         self, lake_name: str, index: HomographIndex, query
     ) -> None:
         payload = self._read_json_body()
+        if payload.get("execution") is not None:
+            # Worker processes and pools are the deployment's to
+            # choose; a body that picked them could fork without bound.
+            raise _HTTPProblem(
+                400, "invalid-request",
+                "execution is a server setting (serve --backend/--jobs/"
+                "--keep-pool); a detect body may not carry one",
+            )
         request = self._parse_detect_request(payload)
         # Validate the paging knob up front: a bad ?top= must fail
         # before the (potentially expensive) computation — or before

@@ -11,14 +11,21 @@ how to turn it back into live objects:
 * ``vocab.json`` — value and attribute vocabularies, in node-id order;
 * ``lake.json`` — every table, cell for cell, so a loaded index keeps
   the full mutation surface (``add_table`` after a load rebuilds from
-  this lake exactly as a fresh index would);
+  this lake exactly as a fresh index would).  A load reads its bytes
+  but parses them only on the lake's first use (a mutation, ``save``,
+  a graph rebuild, iteration or a table lookup); ``len()`` answers
+  from the manifest's ``tables`` count until then;
 * ``profiles.json`` — the attribute profiles
   (:func:`repro.datalake.profiling.profile_attributes`), precomputed
   for catalog consumers;
-* ``scores/NNNN.json`` — the per-``(measure, config)`` score cache:
-  one serialized :class:`~repro.api.DetectResponse` (with its
-  embedded request) per entry, re-keyed on load so pre-warmed
-  configurations answer ``cached=True`` byte-for-byte.
+* ``scores/NNNN.json`` + ``scores/NNNN.npy`` — the per-``(measure,
+  config)`` score cache, one pair per entry: the
+  :class:`~repro.api.DetectResponse` envelope (with its embedded
+  request) plus the value names in rank order, and the float64
+  scores in the same order.  Entries are re-keyed on load so
+  pre-warmed configurations answer ``cached=True`` byte-for-byte.
+  Format 1 stored each entry as one ``scores/NNNN.json`` holding the
+  full ``DetectResponse.to_dict()``; such snapshots still load.
 
 Every loader failure surfaces as a typed
 :class:`~repro.snapshot.store.SnapshotError` subclass — a truncated
@@ -32,12 +39,13 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..api.requests import DetectResponse
 from ..core.graph import BipartiteGraph
+from ..core.ranking import HomographRanking
 from ..datalake.lake import DataLake
 from ..datalake.profiling import profile_attributes
 from ..datalake.table import Table
@@ -64,8 +72,10 @@ class LoadedSnapshot:
 
     ``graph`` holds mmap-backed CSR arrays when the load used
     ``mmap=True`` (the default): the snapshot directory must then
-    outlive the graph.  ``responses`` are the pre-warmed score-cache
-    entries, each carrying its originating request.
+    outlive the graph.  ``lake`` is deferred: it parses the
+    ``lake.json`` bytes read at load time on first use.
+    ``responses`` are the pre-warmed score-cache entries, each
+    carrying its originating request.
     """
 
     path: Path
@@ -75,6 +85,12 @@ class LoadedSnapshot:
     graph_seconds: float
     prune_candidates: bool
     responses: List[DetectResponse] = field(default_factory=list)
+
+
+def _score_files(position: int) -> Tuple[str, str]:
+    """Relative paths of one score-cache entry: envelope, scores."""
+    stem = f"{SCORES_DIRNAME}/{position:04d}"
+    return f"{stem}.json", f"{stem}.npy"
 
 
 def _write_json(path: Path, payload: object) -> None:
@@ -148,9 +164,14 @@ def build_snapshot(
             for profile in profile_attributes(lake)
         ])
         for position, response in enumerate(kept):
-            _write_json(
-                staging / SCORES_DIRNAME / f"{position:04d}.json",
-                response.to_dict(),
+            envelope_file, scores_file = _score_files(position)
+            envelope = response.to_dict(top=0)
+            del envelope["ranking"]
+            values, scores = response.ranking.columns()
+            envelope["values"] = values
+            _write_json(staging / envelope_file, envelope)
+            np.save(
+                staging / scores_file, np.asarray(scores, dtype=np.float64)
             )
         jobs_staging = staging / JOBS_DIRNAME
         jobs_staging.mkdir()
@@ -172,25 +193,29 @@ def build_snapshot(
                 "graph_seconds": float(graph_seconds),
             },
             "scores": len(kept),
+            "tables": len(lake),
         }
 
     return write_snapshot(target, stage)
 
 
 def _load_array(
-    path: Path, relative: str, mmap: bool
+    path: Path, relative: str, mmap: bool, dtype=np.int64
 ) -> np.ndarray:
-    """One CSR array, mmap-backed or copied, frozen either way."""
+    """One stored array, mmap-backed or copied, frozen either way."""
     try:
-        array = np.load(path, mmap_mode="r" if mmap else None)
+        array = np.load(
+            path, mmap_mode="r" if mmap else None, allow_pickle=False
+        )
     except (OSError, ValueError) as error:
         raise SnapshotCorruptionError(
             f"snapshot array {relative!r} cannot be loaded: {error}"
         ) from None
-    if array.ndim != 1 or array.dtype != np.int64:
+    if array.ndim != 1 or array.dtype != dtype:
         raise SnapshotCorruptionError(
             f"snapshot array {relative!r} has shape {array.shape} and "
-            f"dtype {array.dtype}; expected one-dimensional int64"
+            f"dtype {array.dtype}; expected one-dimensional "
+            f"{np.dtype(dtype)}"
         )
     # mmap_mode="r" arrays are born read-only; freeze copies too so
     # the PR-2 writeable=False invariant holds on every load path.
@@ -209,8 +234,30 @@ def _load_json(root: Path, relative: str) -> object:
         ) from None
 
 
-def _load_lake(root: Path) -> DataLake:
-    payload = _load_json(root, LAKE_FILE)
+def _deferred_lake(root: Path, manifest: Dict[str, object]) -> DataLake:
+    """The stored lake, parsed on first use from the bytes read now.
+
+    The bytes are read here, so the mounted index keeps its lake even
+    if the snapshot directory is later deleted or republished.
+    """
+    count = manifest.get("tables")  # recorded since format 2
+    valid = type(count) is int and count >= 0
+    if not valid and (count is not None or manifest["format"] >= 2):
+        raise SnapshotCorruptionError(
+            f"snapshot manifest at {root} carries an invalid "
+            f"'tables' count: {count!r}"
+        )
+    try:
+        raw = (root / LAKE_FILE).read_bytes()
+    except OSError as error:
+        raise SnapshotCorruptionError(
+            f"snapshot artifact {LAKE_FILE!r} cannot be read: {error}"
+        ) from None
+    return DataLake.deferred(lambda: _parse_lake(raw, count), count)
+
+
+def _parse_lake(raw: bytes, count: Optional[int]) -> List[Table]:
+    """The tables of ``lake.json``; any defect is a corruption error."""
     try:
         tables = [
             Table(
@@ -218,23 +265,58 @@ def _load_lake(root: Path) -> DataLake:
                 columns=list(entry["columns"]),
                 rows=[list(row) for row in entry["rows"]],
             )
-            for entry in payload["tables"]
+            for entry in json.loads(raw)["tables"]
         ]
     except (KeyError, TypeError, ValueError) as error:
         raise SnapshotCorruptionError(
             f"snapshot artifact {LAKE_FILE!r} does not describe a "
             f"lake: {error}"
         ) from None
-    return DataLake(tables)
+    if count is not None and len(tables) != count:
+        raise SnapshotCorruptionError(
+            f"snapshot artifact {LAKE_FILE!r} holds {len(tables)} "
+            f"tables; the manifest records {count}"
+        )
+    return tables
 
 
-def _load_responses(root: Path, count: int) -> List[DetectResponse]:
+def _columns_response(
+    payload: Dict[str, object], scores: np.ndarray
+) -> DetectResponse:
+    """A format-2 entry: envelope plus value names, float64 scores."""
+    values = payload["values"]
+    if not isinstance(values, list) or not all(
+        type(value) is str for value in values
+    ):
+        raise ValueError("'values' must be a list of strings")
+    if scores.shape != (len(values),):
+        raise ValueError(
+            f"{len(values)} values but {scores.shape[0]} scores"
+        )
+    ranking = HomographRanking.from_columns(
+        values,
+        scores.tolist(),
+        descending=bool(payload["descending"]),
+        measure=str(payload["measure"]),
+    )
+    return DetectResponse.from_envelope(payload, ranking)
+
+
+def _load_responses(
+    root: Path, count: int, fmt: int
+) -> List[DetectResponse]:
     responses = []
     for position in range(count):
-        relative = f"{SCORES_DIRNAME}/{position:04d}.json"
+        relative, scores_file = _score_files(position)
         payload = _load_json(root, relative)
         try:
-            response = DetectResponse.from_dict(payload)
+            if fmt >= 2:
+                response = _columns_response(payload, _load_array(
+                    root / scores_file, scores_file, mmap=False,
+                    dtype=np.float64,
+                ))
+            else:
+                response = DetectResponse.from_dict(payload)
         except (KeyError, TypeError, ValueError) as error:
             raise SnapshotCorruptionError(
                 f"snapshot score entry {relative!r} is not a "
@@ -259,7 +341,9 @@ def load_snapshot(
     ``verify=True`` (default) checks every manifested file's sha256
     before anything is parsed; ``mmap=True`` maps the CSR arrays
     read-only instead of copying them into memory.  All failures
-    raise :class:`~repro.snapshot.store.SnapshotError` subclasses.
+    raise :class:`~repro.snapshot.store.SnapshotError` subclasses —
+    those of ``lake.json``'s content at the lake's first use, since
+    the load does not parse it.
     """
     root = Path(path)
     manifest = load_manifest(root, verify=verify)
@@ -310,11 +394,11 @@ def load_snapshot(
     return LoadedSnapshot(
         path=root,
         manifest=manifest,
-        lake=_load_lake(root),
+        lake=_deferred_lake(root, manifest),
         graph=graph,
         graph_seconds=float(graph_meta.get("graph_seconds", 0.0)),
         prune_candidates=bool(manifest.get("prune_candidates", True)),
-        responses=_load_responses(root, score_count),
+        responses=_load_responses(root, score_count, manifest["format"]),
     )
 
 

@@ -18,18 +18,23 @@ deal purely in lake artifacts:
   :class:`SnapshotVersionError` instead of misparsing) and sha256
   content-hash verification of every manifested file.
 
-The manifest schema (format 1)::
+The manifest schema (format 2)::
 
     {
-      "format": 1,
-      "library_version": "1.6.0",
+      "format": 2,
+      "library_version": "2.1.0",
       "created_at": 1723111200.0,
       "prune_candidates": true,
       "graph": {"num_values": ..., "num_attributes": ...,
                 "num_edges": ..., "graph_seconds": ...},
       "scores": 2,
+      "tables": 4,
       "files": {"graph/indptr.npy": {"bytes": N, "sha256": "..."}, ...}
     }
+
+Format 1 had no ``tables`` count and stored each score-cache entry
+as one JSON file (see :mod:`repro.snapshot.artifacts`); this build
+reads both.
 
 ``files`` covers every artifact the loader reads.  Two pieces of
 *runtime* state live inside a snapshot directory and are therefore
@@ -55,9 +60,10 @@ import tempfile
 from pathlib import Path
 from typing import Callable, Dict, Union
 
-#: Snapshot layout version understood by this build.  Bumped on
-#: incompatible layout changes; loaders reject anything newer.
-FORMAT_VERSION = 1
+#: Snapshot layout version written by this build.  Bumped on
+#: incompatible layout changes; loaders read every format up to it
+#: and reject anything newer.
+FORMAT_VERSION = 2
 
 #: The manifest file name; its presence marks a directory as a snapshot.
 MANIFEST_NAME = "manifest.json"
@@ -243,10 +249,10 @@ def load_manifest(
             f"snapshot manifest {manifest_path} must be a JSON object"
         )
     fmt = manifest.get("format")
-    if not isinstance(fmt, int):
+    if type(fmt) is not int or fmt < 1:
         raise SnapshotCorruptionError(
             f"snapshot manifest {manifest_path} carries no integer "
-            f"'format' field"
+            f"'format' field >= 1"
         )
     if fmt > FORMAT_VERSION:
         raise SnapshotVersionError(

@@ -53,7 +53,11 @@ class TestScoreCache:
     def test_caller_mutation_cannot_poison_cache(self, figure1_lake):
         index = HomographIndex(figure1_lake)
         first = index.detect(measure="betweenness")
-        first.scores.clear()
+        # scores is the ranking's read-only view: it has no mutators.
+        with pytest.raises(AttributeError):
+            first.scores.clear()
+        with pytest.raises(TypeError):
+            first.scores["JAGUAR"] = 0.0
         first.parameters["seed"] = "tampered"
         second = index.detect(measure="betweenness")
         assert second.cached is True

@@ -85,6 +85,39 @@ class TestRequest:
         with pytest.raises(error):
             DetectRequest(measure="lcc").with_overrides(**fields)
 
+    @pytest.mark.parametrize("execution,error", [
+        ({"njobs": 4}, ValueError),
+        ({"backend": "serial", "chunksize": 2}, ValueError),
+        ({"persistent": "no"}, TypeError),
+        ({"persistent": 1}, TypeError),
+        ({"n_jobs": True}, TypeError),
+        ({"n_jobs": 2.5}, TypeError),
+        ({"chunk_size": 1.5}, TypeError),
+        ({"chunk_size": "3"}, TypeError),
+    ], ids=lambda value: (
+        value.__name__ if isinstance(value, type)
+        else ",".join(f"{k}={v!r}" for k, v in value.items())
+    ))
+    def test_execution_from_dict_rejects_bad_fields(self, execution, error):
+        with pytest.raises(error) as info:
+            ExecutionConfig.from_dict(execution)
+        if error is ValueError:   # an unknown key is named
+            assert "unknown execution field" in str(info.value)
+            assert next(k for k in execution if k != "backend") in str(
+                info.value
+            )
+        with pytest.raises(error):
+            DetectRequest.from_dict({"measure": "lcc",
+                                     "execution": execution})
+
+    def test_execution_from_dict_accepts_numpy_counts(self):
+        config = ExecutionConfig.from_dict({
+            "backend": "process", "n_jobs": np.int64(2),
+            "chunk_size": np.int32(3), "persistent": True,
+        })
+        assert (config.n_jobs, config.chunk_size) == (2, 3)
+        assert ExecutionConfig.from_dict(config.to_dict()) == config
+
     def test_builtin_fields_accept_their_legal_values(self):
         request = DetectRequest.from_dict({
             "sample_size": np.int64(1), "seed": np.int32(0),

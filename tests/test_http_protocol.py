@@ -108,6 +108,11 @@ class TestMalformedRequests:
         {"seed": -1},
         {"seed": "x"},
         {"execution": 5},
+        # Execution is the server's to choose (serve --backend/--jobs):
+        # a body naming any backend, let alone a worker count, is
+        # refused before a pool could be sized from it.
+        {"execution": {"backend": "serial"}},
+        {"execution": {"backend": "process", "n_jobs": 100000}},
     ], ids=lambda fields: "{}={!r}".format(*next(iter(fields.items()))))
     def test_invalid_request_fields_are_400(self, served, fields, query):
         # Checked when the request is built: before admission, and

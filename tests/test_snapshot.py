@@ -14,6 +14,10 @@ The contract under test, end to end:
   mount keeps serving its other lakes;
 * detaching a snapshot-mounted lake releases the mmap file handles,
   so the snapshot directory is deletable afterwards;
+* a mount reads ``lake.json`` but parses it only on the lake's first
+  use, and a format-1 snapshot written by the 2.0 library
+  (``tests/data/figure1-format1``) still serves byte-identical bodies
+  and republishes as format 2;
 * ``POST /lakes`` / ``DELETE /lakes/<name>`` mount and unmount lakes
   at runtime (bearer auth enforced, 409 on duplicate names);
 * finished async jobs spilled to a ``persist_dir`` survive a manager
@@ -21,10 +25,16 @@ The contract under test, end to end:
 """
 
 import gc
+import http.client
 import json
 import os
+import re
 import shutil
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +45,7 @@ from repro import (
     SnapshotCorruptionError,
     SnapshotError,
     SnapshotVersionError,
+    Table,
     Workspace,
     is_snapshot,
     load_snapshot,
@@ -42,9 +53,16 @@ from repro import (
 )
 from repro.serving.client import HomographClient, ServiceError
 from repro.serving.jobs import JobManager
-from repro.snapshot import FORMAT_VERSION, load_manifest
+from repro.snapshot import FORMAT_VERSION, artifacts, load_manifest
+from repro.snapshot.store import file_sha256
 
 from tests.conftest import make_figure1_lake
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: A format-1 snapshot written by library 2.0.0: the figure-1 lake
+#: with LCC and exact betweenness warm.  Tests mount copies of it.
+FORMAT1_FIXTURE = Path(__file__).resolve().parent / "data" / "figure1-format1"
 
 WARM_REQUESTS = (
     DetectRequest(measure="lcc"),
@@ -204,6 +222,19 @@ class TestCorruption:
         with pytest.raises(SnapshotCorruptionError):
             load_manifest(snapshot_dir)
 
+    def test_unsorted_csr_row(self, snapshot_dir):
+        # Swap two neighbors in one row: sizes and the edge count stay
+        # consistent, but splice_rows' merges assume sorted rows.
+        path = snapshot_dir / "graph" / "indices.npy"
+        indptr = np.load(snapshot_dir / "graph" / "indptr.npy")
+        indices = np.load(path)
+        row = int(np.flatnonzero(np.diff(indptr) >= 2)[0])
+        first = int(indptr[row])
+        indices[[first, first + 1]] = indices[[first + 1, first]]
+        np.save(path, indices)
+        with pytest.raises(SnapshotCorruptionError, match="ascending"):
+            load_snapshot(snapshot_dir, verify=False)
+
     def test_workspace_keeps_serving_after_failed_mount(
         self, snapshot_dir, figure1_lake
     ):
@@ -215,6 +246,242 @@ class TestCorruption:
             assert workspace.names() == ("good",)
             response = workspace.get("good").detect(measure="lcc")
             assert len(response.ranking.top(1)) == 1
+
+
+def break_lake_json(root):
+    """Make ``lake.json`` unparseable, with the manifest still verifying."""
+    lake_file = root / "lake.json"
+    lake_file.write_bytes(b'{"tables": [{"name": "T1"')
+    manifest_path = root / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["files"]["lake.json"] = {
+        "bytes": lake_file.stat().st_size,
+        "sha256": file_sha256(lake_file),
+    }
+    manifest_path.write_text(json.dumps(manifest))
+
+
+EXTRA = Table.from_columns("T9", {"c": ["Jaguar", "Okapi", "Okapi"]})
+
+
+class TestDeferredLake:
+    """A mount reads ``lake.json`` and parses it on the lake's first use."""
+
+    def test_reads_and_stats_do_not_parse_the_lake(self, snapshot_dir):
+        break_lake_json(snapshot_dir)   # any parse would raise
+        with HomographIndex.load(snapshot_dir) as index:
+            assert len(index.lake) == 4          # the manifest count
+            for request in WARM_REQUESTS:
+                response = index.detect(request)
+                assert response.cached
+                response.to_json_bytes()
+                response.ranking.page(None, 2).to_json_bytes()
+            assert index.stats()["tables"] == 4
+            assert not index.lake.loaded
+
+    def test_first_mutation_parse_error_keeps_the_old_state(
+        self, snapshot_dir
+    ):
+        break_lake_json(snapshot_dir)
+        with HomographIndex.load(snapshot_dir) as index:
+            bodies = [index.detect(r).to_json_bytes() for r in WARM_REQUESTS]
+            before = index.stats()
+            graph = index.graph
+            for mutate in (
+                lambda: index.add_table(EXTRA),
+                lambda: index.remove_table("T1"),
+                lambda: index.replace_table(EXTRA),
+            ):
+                with pytest.raises(SnapshotCorruptionError,
+                                   match="lake.json"):
+                    mutate()
+            assert not index.lake.loaded and len(index.lake) == 4
+            assert index.graph is graph
+            assert index.stats() == before
+            assert index.last_mutation is None
+            assert [
+                index.detect(r).to_json_bytes() for r in WARM_REQUESTS
+            ] == bodies
+
+    def test_first_mutation_parses_the_lake(self, snapshot_dir):
+        with HomographIndex.load(snapshot_dir) as index:
+            assert not index.lake.loaded
+            index.add_table(EXTRA)
+            assert index.lake.loaded
+            assert index.lake.table_names == ["T1", "T2", "T3", "T4", "T9"]
+
+    def test_lake_outlives_its_snapshot_directory(self, snapshot_dir):
+        with HomographIndex.load(snapshot_dir) as index:
+            shutil.rmtree(snapshot_dir)
+            assert index.lake.table_names == ["T1", "T2", "T3", "T4"]
+
+    def test_republish_does_not_change_a_mounted_lake(self, snapshot_dir):
+        with HomographIndex.load(snapshot_dir) as index:
+            lake = make_figure1_lake()
+            lake.add_table(EXTRA)
+            with HomographIndex(lake) as other:
+                other.save(snapshot_dir)
+            assert len(load_snapshot(snapshot_dir).lake) == 5
+            assert index.lake.table_names == ["T1", "T2", "T3", "T4"]
+
+    def test_table_count_mismatch_is_corruption(self, snapshot_dir):
+        manifest = json.loads((snapshot_dir / "manifest.json").read_text())
+        manifest["tables"] = 7
+        (snapshot_dir / "manifest.json").write_text(json.dumps(manifest))
+        with HomographIndex.load(snapshot_dir) as index:
+            assert len(index.lake) == 7
+            with pytest.raises(SnapshotCorruptionError, match="7"):
+                index.add_table(EXTRA)
+
+    def test_serve_never_parses_the_lake(self, snapshot_dir):
+        """Banner, /healthz, GET /lakes, /stats and reads over HTTP."""
+        break_lake_json(snapshot_dir)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--snapshot",
+             str(snapshot_dir), "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env, cwd=str(REPO_ROOT),
+        )
+        try:
+            banner = proc.stdout.readline()
+            assert "4 tables" in banner, banner
+            port = int(re.search(r"http://127\.0\.0\.1:(\d+)",
+                                 banner).group(1))
+
+            def exchange(method, path, body=None):
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", port, timeout=30)
+                try:
+                    connection.request(method, path, body=body)
+                    reply = connection.getresponse()
+                    return reply.status, json.loads(reply.read())
+                finally:
+                    connection.close()
+
+            name = snapshot_dir.name
+            assert exchange("GET", "/healthz")[0] == 200
+            status, listing = exchange("GET", "/lakes")
+            assert status == 200 and listing["lakes"][0]["tables"] == 4
+            status, stats = exchange("GET", "/stats")
+            assert status == 200 and stats["lakes"][name]["tables"] == 4
+            assert exchange("GET", f"/lakes/{name}/healthz")[0] == 200
+            for request in WARM_REQUESTS:
+                status, payload = exchange(
+                    "POST", f"/lakes/{name}/detect",
+                    json.dumps(request.to_dict()).encode())
+                assert status == 200 and payload["cached"]
+            status, page = exchange(
+                "GET", f"/lakes/{name}/ranking/lcc?limit=2")
+            assert status == 200 and page["cached"]
+            # The first mutation is the first use: it reports the
+            # malformed lake, and the reads keep serving.
+            status, error = exchange(
+                "POST", f"/lakes/{name}/tables",
+                json.dumps({"name": "T9", "columns": {"c": ["x"]}}).encode())
+            assert status == 500 and "lake.json" in error["error"]["message"]
+            status, payload = exchange(
+                "POST", f"/lakes/{name}/detect",
+                json.dumps(WARM_REQUESTS[0].to_dict()).encode())
+            assert status == 200 and payload["cached"]
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+
+
+#: Ranking page size for the fixture's page-by-page byte checks.
+FIXTURE_PAGE = 2
+
+
+@pytest.fixture
+def format1_dir(tmp_path):
+    """A copy of the format-1 fixture (a mount adds ``jobs/``)."""
+    target = tmp_path / "format1"
+    shutil.copytree(FORMAT1_FIXTURE, target)
+    return target
+
+
+def fixture_payloads():
+    """The fixture's stored ``DetectResponse.to_dict()`` payloads."""
+    return [
+        json.loads(path.read_text())
+        for path in sorted((FORMAT1_FIXTURE / "scores").glob("*.json"))
+    ]
+
+
+def dumps(payload):
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+def assert_serves_fixture_bytes(index):
+    """Every body of every warm configuration equals the stored payload."""
+    payloads = fixture_payloads()
+    assert len(payloads) == 2
+    for stored in payloads:
+        response = index.detect(DetectRequest.from_dict(stored["request"]))
+        assert response.cached
+        expected = {**stored, "cached": True}
+        for top in (None, 1):
+            assert response.to_json_bytes(top=top) == dumps(
+                {**expected, "ranking": expected["ranking"][:top]}
+            )
+        rows = stored["ranking"]
+        for start in range(0, len(rows), FIXTURE_PAGE):
+            stop = start + FIXTURE_PAGE
+            page = response.ranking.page(
+                str(start) if start else None, FIXTURE_PAGE
+            )
+            assert page.to_json_bytes(cached=True) == dumps({
+                "measure": stored["measure"],
+                "descending": stored["descending"],
+                "total": len(rows),
+                "next_cursor": str(stop) if stop < len(rows) else None,
+                "entries": rows[start:stop],
+                "cached": True,
+            })
+
+
+class TestFormatOneFixture:
+    def test_fixture_mounts_as_format_1(self, format1_dir):
+        manifest = load_manifest(format1_dir)
+        assert manifest["format"] == 1 and "tables" not in manifest
+        with HomographIndex.load(format1_dir) as index:
+            assert index.cache_info().size == 2
+            assert len(index.lake) == 4     # no manifest count: parses
+            assert_serves_fixture_bytes(index)
+
+    def test_mutation_matches_a_fresh_index(self, format1_dir):
+        requests = [
+            DetectRequest.from_dict(p["request"]) for p in fixture_payloads()
+        ]
+        with HomographIndex.load(format1_dir) as index:
+            index.add_table(EXTRA)
+            got = [index.detect(request) for request in requests]
+        lake = make_figure1_lake()
+        lake.add_table(EXTRA)
+        with HomographIndex(lake) as fresh:
+            want = [fresh.detect(request) for request in requests]
+        for mounted, rebuilt in zip(got, want):
+            assert mounted.ranking == rebuilt.ranking
+
+    def test_save_republishes_as_format_2(self, format1_dir):
+        with HomographIndex.load(format1_dir) as index:
+            manifest = index.save(format1_dir)
+        assert manifest["format"] == FORMAT_VERSION == 2
+        assert manifest["tables"] == 4
+        assert {"scores/0000.npy", "scores/0001.npy"} <= set(
+            manifest["files"]
+        )
+        with HomographIndex.load(format1_dir) as index:
+            assert not index.lake.loaded
+            assert_serves_fixture_bytes(index)
 
 
 def open_fds_into(directory):

@@ -23,7 +23,10 @@ Run directly (CI does)::
 TUS-small snapshot, serve it (job spill in the snapshot's ``jobs/``
 area), drive a cache-hit detect plus an async job, *kill* the server,
 restart from the same snapshot, and prove the finished job and the
-warmed cache both survived — under exactly the same leak checks.
+warmed cache both survived — under exactly the same leak checks.  The
+restarted server also mounts a copy of the committed format-1
+snapshot (``tests/data/figure1-format1``, written by library 2.0) and
+byte-checks its warm rankings.
 
 ``--cluster`` runs the replication scenario: a
 :class:`repro.cluster.ReplicaSupervisor` fleet of two ``domainnet
@@ -39,6 +42,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import shutil
 import sys
 import tempfile
 import threading
@@ -48,6 +52,9 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+
+#: A format-1 snapshot (figure-1 lake, LCC and exact betweenness warm).
+FORMAT1_FIXTURE = REPO_ROOT / "tests" / "data" / "figure1-format1"
 
 
 def drive(client, tus_size: int, sb_size: int) -> None:
@@ -322,6 +329,18 @@ def scenario_snapshot() -> None:
             tus_client = base.lake("tus")
             again = tus_client.detect(measure="lcc")
             assert again.cached, "restart lost the warmed cache"
+
+            # A format-1 snapshot still mounts and serves its warm
+            # rankings byte for byte (a copy: a mount adds jobs/).
+            fixture = Path(tmp) / "format1"
+            shutil.copytree(FORMAT1_FIXTURE, fixture)
+            base.mount_lake("format1", str(fixture))
+            assert load_manifest(fixture)["format"] == 1
+            for measure in ("lcc", "betweenness"):
+                check_body_bytes(
+                    server, workspace.get("format1"), "format1",
+                    DetectRequest(measure=measure),
+                )
 
             # Mutate-then-detect on the snapshot-mounted (read-only
             # mmap) lake: a freshly computed ranking carries
