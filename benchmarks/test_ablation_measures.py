@@ -9,8 +9,8 @@
 
 from conftest import write_result
 
+from repro import HomographIndex
 from repro.bench.synthetic import SBConfig, generate_sb
-from repro.core.detector import DomainNet
 
 
 def hits_at(result, homographs, k=55):
@@ -19,11 +19,11 @@ def hits_at(result, homographs, k=55):
 
 def test_ablation_lcc_variants(benchmark, results_dir):
     sb = generate_sb(SBConfig(rows=250, seed=0))
-    detector = DomainNet.from_lake(sb.lake)
+    index = HomographIndex(sb.lake)
 
     def run_both():
-        attr = detector.detect(measure="lcc", lcc_variant="attribute-jaccard")
-        literal = detector.detect(measure="lcc", lcc_variant="value-neighbors")
+        attr = index.detect(measure="lcc", lcc_variant="attribute-jaccard")
+        literal = index.detect(measure="lcc", lcc_variant="value-neighbors")
         return attr, literal
 
     attr, literal = benchmark.pedantic(run_both, rounds=1, iterations=1)
@@ -48,11 +48,11 @@ def test_ablation_lcc_variants(benchmark, results_dir):
 
 
 def test_ablation_bc_endpoints(benchmark, sb, results_dir):
-    detector = DomainNet.from_lake(sb.lake)
+    index = HomographIndex(sb.lake)
 
     def run_both():
-        all_nodes = detector.detect(measure="betweenness", endpoints="all")
-        values_only = detector.detect(
+        all_nodes = index.detect(measure="betweenness", endpoints="all")
+        values_only = index.detect(
             measure="betweenness", endpoints="values"
         )
         return all_nodes, values_only

@@ -8,20 +8,20 @@ sample budget and is high at ~10% of nodes.
 
 from conftest import write_result
 
-from repro.core.detector import DomainNet
+from repro import HomographIndex
 from repro.eval.metrics import ranking_overlap
 
 SAMPLES = (50, 150, 400, 1000)
 
 
 def test_ablation_sampling_agreement(benchmark, sb, results_dir):
-    detector = DomainNet.from_lake(sb.lake)
-    exact = detector.detect(measure="betweenness").ranking.values
+    index = HomographIndex(sb.lake)
+    exact = index.detect(measure="betweenness").ranking.values
 
     def sweep():
         overlaps = []
         for samples in SAMPLES:
-            sampled = detector.detect(
+            sampled = index.detect(
                 measure="betweenness", sample_size=samples, seed=13
             ).ranking.values
             overlaps.append((

@@ -1,9 +1,9 @@
 """Setup shim.
 
-Metadata lives in pyproject.toml.  This file exists so that
-``pip install -e .`` works on offline machines that lack the ``wheel``
-package (pip falls back to the legacy ``setup.py develop`` code path,
-which does not need to build a wheel).
+Metadata lives in setup.cfg.  This file keeps the legacy
+``python setup.py develop`` install working on offline machines that
+lack the ``wheel`` package, where ``pip install -e .`` stops at the
+missing ``bdist_wheel`` command.
 """
 
 from setuptools import setup

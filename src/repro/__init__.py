@@ -23,16 +23,13 @@ Third-party centralities plug in through the measure registry::
     def degree(graph, request):
         return MeasureOutput(scores={...}, descending=True)
 
-The legacy one-shot surface (``DomainNet.from_lake(lake).detect(...)``)
-still works as a deprecated shim over :class:`HomographIndex`.
-
 Sub-packages
 ------------
 ``repro.api``
     Stateful :class:`HomographIndex`, measure registry, typed
     request/response objects with JSON serialization.
 ``repro.core``
-    Bipartite graph, LCC / betweenness measures, detection pipeline.
+    Bipartite graph, LCC / betweenness measures, ranking.
 ``repro.perf``
     Parallel compute engine: execution backends (serial /
     shared-memory multi-process, per-call or persistent pools),
@@ -61,8 +58,6 @@ Sub-packages
 
 from .core import (
     BipartiteGraph,
-    DetectionResult,
-    DomainNet,
     HomographRanking,
     RankedValue,
     RankingPage,
@@ -141,7 +136,7 @@ from .cluster import (
     start_cluster,
 )
 
-__version__ = "2.1.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "BipartiteGraph",
@@ -151,8 +146,6 @@ __all__ = [
     "DataLake",
     "DetectRequest",
     "DetectResponse",
-    "DetectionResult",
-    "DomainNet",
     "DuplicateLakeError",
     "DuplicateMeasureError",
     "ExecutionBackend",

@@ -17,12 +17,11 @@ layer needs:
 * typed :class:`DetectRequest`/:class:`DetectResponse` objects with
   ``to_json``/``from_json`` round-trip serialization.
 
-The legacy ``DomainNet`` class remains as a thin shim over this API.
 See ``docs/serving.md`` for the serving guide and ``docs/api.md`` for
 the full reference.
 """
 
-from .index import CacheInfo, HomographIndex, execute_request
+from .index import CacheInfo, HomographIndex
 from .measures import (
     DuplicateMeasureError,
     Measure,
@@ -30,6 +29,7 @@ from .measures import (
     MeasureOutput,
     UnknownMeasureError,
     available_measures,
+    check_request,
     get_measure,
     register_measure,
     run_measure,
@@ -61,7 +61,7 @@ __all__ = [
     "Workspace",
     "WorkspaceError",
     "available_measures",
-    "execute_request",
+    "check_request",
     "get_measure",
     "register_measure",
     "run_measure",

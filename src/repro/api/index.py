@@ -1,9 +1,8 @@
 """The stateful :class:`HomographIndex` — construct once, query many.
 
-The one-shot ``DomainNet.from_lake(...).detect(...)`` surface rebuilds
-and rescores from scratch on every use; a service cannot afford that.
-The index keeps the lake, builds the bipartite graph lazily, caches
-scores per ``(measure, config)``, and supports incremental
+A service cannot afford to rebuild and rescore from scratch on every
+query.  The index keeps the lake, builds the bipartite graph lazily,
+caches scores per ``(measure, config)``, and supports incremental
 ``add_table``/``remove_table``/``replace_table`` that *splice* the
 delta into the built graph and patch the cached scores in place —
 O(delta) per mutation, bit-identical to a from-scratch rebuild — with
@@ -112,7 +111,7 @@ class _CacheEntry:
     state: Optional[object] = None
 
 
-def execute_request(
+def _execute_request(
     graph: BipartiteGraph,
     request: DetectRequest,
     graph_seconds: float = 0.0,
@@ -120,10 +119,10 @@ def execute_request(
 ) -> DetectResponse:
     """Run one detection request against a pre-built graph (no caching).
 
-    The stateless core of :meth:`HomographIndex.detect`, also used by
-    the legacy ``DomainNet`` shim.  ``state_out``, when given, receives
-    the measure's maintenance payload under ``"state"`` so a caching
-    caller can patch the result across lake mutations.
+    The stateless core of :meth:`HomographIndex.detect`.  ``state_out``,
+    when given, receives the measure's maintenance payload under
+    ``"state"`` so the caller can patch the result across lake
+    mutations.
     """
     start = time.perf_counter()
     output = run_measure(graph, request)
@@ -242,13 +241,6 @@ class HomographIndex:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    @classmethod
-    def from_lake(
-        cls, lake: DataLake, prune_candidates: bool = True
-    ) -> "HomographIndex":
-        """Mirror of the legacy ``DomainNet.from_lake`` spelling."""
-        return cls(lake, prune_candidates=prune_candidates)
-
     @classmethod
     def from_directory(
         cls, directory, prune_candidates: bool = True
@@ -793,7 +785,7 @@ class HomographIndex:
                 else nullcontext()
             state_box: Dict[str, object] = {}
             with scope:
-                response = execute_request(
+                response = _execute_request(
                     graph, request, graph_seconds=graph_seconds,
                     state_out=state_box,
                 )

@@ -19,7 +19,11 @@ so third-party centralities slot in without touching the core:
     HomographIndex(lake).detect(measure="degree")
 
 A measure is any callable ``(graph, request) -> MeasureOutput`` (the
-:class:`Measure` protocol).  ``descending`` states the direction in
+:class:`Measure` protocol).  A measure that reads ``request.options``
+can register a request check beside it
+(``register_measure(name, fn, check=...)``): :func:`check_request`
+runs it, so a server refuses options the measure would reject before
+any work is queued.  ``descending`` states the direction in
 which "more homograph-like" points: ``True`` for betweenness-style
 scores (high = suspicious), ``False`` for LCC-style scores (low =
 suspicious).  Returning a plain mapping is also accepted and treated as
@@ -39,6 +43,7 @@ quotient is the identity and the measure delegates to plain
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -99,7 +104,12 @@ class Measure(Protocol):
     ) -> MeasureOutput: ...
 
 
-_REGISTRY: Dict[str, Measure] = {}
+#: A measure's request check: ``(request) -> None``, raising
+#: ``TypeError``/``ValueError`` on options the measure would reject.
+RequestCheck = Callable[["DetectRequest"], object]
+
+#: name -> (measure, its request check or ``None``).
+_REGISTRY: Dict[str, Tuple[Measure, Optional[RequestCheck]]] = {}
 
 
 def register_measure(
@@ -107,39 +117,36 @@ def register_measure(
     fn: Optional[Measure] = None,
     *,
     replace: bool = False,
+    check: Optional[RequestCheck] = None,
 ) -> Callable:
     """Register ``fn`` under ``name``; usable as a decorator.
 
     Registering an existing name raises :class:`DuplicateMeasureError`
-    unless ``replace=True``.  Returns ``fn`` so the decorator form
-    leaves the function usable directly.
+    unless ``replace=True``.  ``check`` is the measure's request check
+    (see :func:`check_request`); a replacement registered without one
+    has none.  Returns ``fn`` so the decorator form leaves the function
+    usable directly.
     """
     if fn is None:
-        return lambda f: register_measure(name, f, replace=replace)
+        return lambda f: register_measure(
+            name, f, replace=replace, check=check
+        )
     if not callable(fn):
         raise TypeError(f"measure {name!r} must be callable, got {fn!r}")
+    if check is not None and not callable(check):
+        raise TypeError(
+            f"check of measure {name!r} must be callable, got {check!r}"
+        )
     if name in _REGISTRY and not replace:
         raise DuplicateMeasureError(
             f"measure {name!r} is already registered; "
             f"pass replace=True to override"
         )
-    _REGISTRY[name] = fn
+    _REGISTRY[name] = (fn, check)
     return fn
 
 
-def unregister_measure(name: str) -> Measure:
-    """Remove and return a registered measure (built-ins included)."""
-    try:
-        return _REGISTRY.pop(name)
-    except KeyError:
-        raise UnknownMeasureError(
-            f"unknown measure {name!r}; "
-            f"registered measures: {available_measures()}"
-        ) from None
-
-
-def get_measure(name: str) -> Measure:
-    """Look up a measure, raising :class:`UnknownMeasureError` if absent."""
+def _entry(name: str) -> Tuple[Measure, Optional[RequestCheck]]:
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -149,9 +156,34 @@ def get_measure(name: str) -> Measure:
         ) from None
 
 
+def unregister_measure(name: str) -> Measure:
+    """Remove and return a registered measure (built-ins included)."""
+    measure, _ = _entry(name)
+    del _REGISTRY[name]
+    return measure
+
+
+def get_measure(name: str) -> Measure:
+    """Look up a measure, raising :class:`UnknownMeasureError` if absent."""
+    return _entry(name)[0]
+
+
 def available_measures() -> Tuple[str, ...]:
     """Registered measure names, sorted."""
     return tuple(sorted(_REGISTRY))
+
+
+def check_request(request: "DetectRequest") -> None:
+    """Run the request check registered with ``request.measure``.
+
+    Raises :class:`UnknownMeasureError` for an unregistered measure,
+    and the check's ``TypeError``/``ValueError`` for options the
+    measure would reject when it runs.  A measure registered without a
+    check accepts every request here.
+    """
+    check = _entry(request.measure)[1]
+    if check is not None:
+        check(request)
 
 
 def run_measure(
@@ -303,24 +335,56 @@ def _lcc_measure(
     )
 
 
-@register_measure("rk")
+def _rk_options(
+    request: "DetectRequest",
+) -> Tuple[float, float, float, Optional[int]]:
+    """``rk``'s options as ``(epsilon, delta, c, max_samples)``.
+
+    Also the measure's request check: a value that does not convert,
+    ``epsilon`` or ``delta`` outside (0, 1), or a non-finite ``c``
+    raises ``ValueError`` — the values the sampler cannot run with.
+    """
+
+    def number(name: str, kind: type, default: object):
+        value = request.option(name, default)
+        if value is None and default is None:
+            return None
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(
+                f"rk option {name}={value!r} does not convert to "
+                f"{kind.__name__}"
+            ) from None
+
+    epsilon = number("epsilon", float, 0.05)
+    delta = number("delta", float, 0.1)
+    c = number("c", float, 0.5)
+    max_samples = number("max_samples", int, None)
+    for name, value in (("epsilon", epsilon), ("delta", delta)):
+        if not 0.0 < value < 1.0:
+            raise ValueError(
+                f"rk option {name} must be in (0, 1), got {value!r}"
+            )
+    if not math.isfinite(c):
+        raise ValueError(f"rk option c must be finite, got {c!r}")
+    return epsilon, delta, c, max_samples
+
+
+@register_measure("rk", check=_rk_options)
 def _rk_measure(
     graph: BipartiteGraph, request: "DetectRequest"
 ) -> MeasureOutput:
     """Riondato–Kornaropoulos sampled betweenness (§3.3's alternative).
 
     Knobs ride in ``request.options`` (``epsilon``, ``delta``, ``c``,
-    ``max_samples``); the seed is the request seed.  Scores are on the
-    exact-betweenness normalized scale, so homographs score HIGH.
+    ``max_samples``; checked by :func:`_rk_options`); the seed is the
+    request seed.  Scores are on the exact-betweenness normalized
+    scale, so homographs score HIGH.
     """
     from ..core.approx import riondato_kornaropoulos_bc
 
-    epsilon = float(request.option("epsilon", 0.05))
-    delta = float(request.option("delta", 0.1))
-    c = float(request.option("c", 0.5))
-    max_samples = request.option("max_samples", None)
-    if max_samples is not None:
-        max_samples = int(max_samples)
+    epsilon, delta, c, max_samples = _rk_options(request)
     state: Dict[str, object] = {}
     scores = riondato_kornaropoulos_bc(
         graph,

@@ -91,7 +91,8 @@ class DetectRequest:
 
     The built-in fields are checked on construction: a bad type
     raises :class:`TypeError`, a bad value :class:`ValueError`.
-    ``options`` are checked by the measure that reads them.
+    ``options`` are checked by their measure's request check, if it
+    registered one (:func:`repro.api.check_request`).
     """
 
     measure: str = "betweenness"

@@ -1,4 +1,4 @@
-"""Core DomainNet: bipartite graph, centrality measures, detection."""
+"""Core DomainNet: bipartite graph, centrality measures, ranking."""
 
 from .approx import riondato_kornaropoulos_bc, sample_size_bound
 from .betweenness import betweenness_score_map, betweenness_scores
@@ -9,7 +9,6 @@ from .communities import (
     estimate_all_meanings,
     estimate_meanings,
 )
-from .detector import DetectionResult, DomainNet
 from .errors import HomographClassification, classify_homographs
 from .graph import BipartiteGraph, GraphError
 from .label_propagation import (
@@ -31,8 +30,6 @@ from .ranking import (
 
 __all__ = [
     "BipartiteGraph",
-    "DetectionResult",
-    "DomainNet",
     "GraphError",
     "HomographClassification",
     "HomographRanking",

@@ -115,7 +115,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from ..api import DetectRequest, HomographIndex, available_measures
+from ..api import (
+    DetectRequest,
+    HomographIndex,
+    UnknownMeasureError,
+    available_measures,
+    check_request,
+)
 from ..api.workspace import (
     DuplicateLakeError,
     UnknownLakeError,
@@ -1073,13 +1079,22 @@ class HomographRequestHandler(KeepAliveRequestHandler):
         )
 
     @staticmethod
-    def _check_measure(measure: str) -> None:
-        if measure not in available_measures():
+    def _check_request(request: DetectRequest) -> None:
+        """Refuse an unknown measure (404) or options it rejects (400)."""
+        try:
+            check_request(request)
+        except UnknownMeasureError:
             raise _HTTPProblem(
                 404, "unknown-measure",
-                f"unknown measure {measure!r}; available: "
+                f"unknown measure {request.measure!r}; available: "
                 f"{', '.join(available_measures())}",
-            )
+            ) from None
+        except (TypeError, ValueError) as error:
+            raise _HTTPProblem(
+                400, "invalid-request",
+                f"invalid options for measure {request.measure!r}: "
+                f"{error}",
+            ) from None
 
     def _detect(
         self,
@@ -1088,7 +1103,7 @@ class HomographRequestHandler(KeepAliveRequestHandler):
         request: DetectRequest,
     ):
         """Run one admitted detection, mapping index errors to HTTP."""
-        self._check_measure(request.measure)
+        self._check_request(request)
         self._check_open(index)
         admission = self._admit(lake_name, warm=index.is_warm(request))
         try:
@@ -1471,13 +1486,13 @@ class HomographRequestHandler(KeepAliveRequestHandler):
         """``?async=1``: queue the request, answer 202 with a job id.
 
         Async submissions are not admission-gated — they occupy an
-        index dispatcher slot, not a handler thread — but the measure
+        index dispatcher slot, not a handler thread — but the request
         and index-open checks still apply, so an immediately-doomed
         job fails here instead of as a polled error.  ``top`` carries
         the synchronous route's ranking truncation into the job's
         terminal payload.
         """
-        self._check_measure(request.measure)
+        self._check_request(request)
         self._check_open(index)
         try:
             job_id = self.server.jobs.submit(

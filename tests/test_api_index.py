@@ -180,9 +180,12 @@ class TestAnalysisHelpers:
         index = HomographIndex(figure1_lake, prune_candidates=False)
         assert index.unpruned_graph is index.graph
 
-    def test_classify_errors_uses_index_state(self, figure1_lake):
+    def test_classify_errors_uses_index_state(
+        self, figure1_lake, figure1_homographs
+    ):
         index = HomographIndex(figure1_lake)
         top = index.detect(measure="betweenness").top_values(2)
+        assert set(top) == figure1_homographs
         verdicts = index.classify_errors(top)
         assert set(verdicts) == set(top)
 
@@ -203,25 +206,6 @@ class TestAnalysisHelpers:
         index = HomographIndex.from_directory(tmp_path)
         assert len(index.lake) == 2
         assert "JAGUAR" in index.detect(measure="betweenness").scores
-
-
-class TestLegacyShim:
-    def test_from_lake_warns_deprecation(self, figure1_lake):
-        from repro import DomainNet
-
-        with pytest.deprecated_call():
-            DomainNet.from_lake(figure1_lake)
-
-    def test_shim_matches_index(self, figure1_lake, figure1_homographs):
-        from repro import DomainNet
-
-        with pytest.deprecated_call():
-            detector = DomainNet.from_lake(figure1_lake)
-        legacy = detector.detect(measure="betweenness")
-        modern = HomographIndex(figure1_lake).detect(measure="betweenness")
-        assert legacy.ranking == modern.ranking
-        assert legacy.scores == modern.scores
-        assert set(legacy.top_values(2)) == figure1_homographs
 
 
 class TestStatsSnapshot:

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro import DomainNet, HomographIndex, MeasureOutput
+from repro import DetectRequest, HomographIndex, MeasureOutput
 from repro.api import (
     DuplicateMeasureError,
     UnknownMeasureError,
     available_measures,
+    check_request,
     get_measure,
     register_measure,
     unregister_measure,
@@ -69,10 +70,15 @@ class TestRegistration:
     def test_non_callable_rejected(self):
         with pytest.raises(TypeError):
             register_measure("bogus", 42)
+        with pytest.raises(TypeError):
+            register_measure("bogus", degree_measure, check=42)
+        assert "bogus" not in available_measures()
 
     def test_unknown_lookup(self):
         with pytest.raises(UnknownMeasureError):
             get_measure("pagerank")
+        with pytest.raises(UnknownMeasureError):
+            check_request(DetectRequest(measure="pagerank"))
 
     def test_unknown_unregister(self):
         with pytest.raises(UnknownMeasureError):
@@ -93,14 +99,10 @@ class TestDispatch:
         assert response.parameters == {"kind": "degree"}
         # JAGUAR spans 4 attributes — the top degree in Figure 1.
         assert response.ranking.values[0] == "JAGUAR"
-
-    def test_legacy_shim_dispatches_custom_measure(
-        self, figure1_lake, degree_registered
-    ):
-        with pytest.deprecated_call():
-            detector = DomainNet.from_lake(figure1_lake)
-        result = detector.detect(measure=degree_registered)
-        assert result.scores["JAGUAR"] == 4.0
+        assert response.scores["JAGUAR"] == 4.0
+        # Pruning drops value nodes, never attributes: same degree.
+        pruned = HomographIndex(figure1_lake).detect(measure=degree_registered)
+        assert pruned.scores["JAGUAR"] == 4.0
 
     def test_index_rejects_unknown_measure(self, figure1_lake):
         index = HomographIndex(figure1_lake)
@@ -147,3 +149,59 @@ class TestDispatch:
             assert min(response.scores.values()) >= 10.0
         finally:
             unregister_measure("offset-test")
+
+
+class TestRequestChecks:
+    def test_check_runs_beside_its_measure(self):
+        seen = []
+        register_measure("checked-test", degree_measure, check=seen.append)
+        try:
+            request = DetectRequest(measure="checked-test")
+            check_request(request)
+            assert seen == [request]
+            # A replacement registered without a check drops the old one.
+            register_measure("checked-test", degree_measure, replace=True)
+            check_request(request)
+            assert seen == [request]
+        finally:
+            unregister_measure("checked-test")
+
+    def test_unregister_drops_check(self):
+        seen = []
+        register_measure("checked-test", degree_measure, check=seen.append)
+        unregister_measure("checked-test")
+        register_measure("checked-test", degree_measure)
+        try:
+            check_request(DetectRequest(measure="checked-test"))
+            assert seen == []
+        finally:
+            unregister_measure("checked-test")
+
+    @pytest.mark.parametrize("options", [
+        {"epsilon": "x"},
+        {"epsilon": None},
+        {"epsilon": 2},
+        {"epsilon": 0},
+        {"delta": 0},
+        {"delta": 1.5},
+        {"max_samples": "x"},
+        {"max_samples": float("inf")},
+        {"c": float("nan")},
+        {"c": float("inf")},
+    ], ids=repr)
+    def test_rk_rejects_options_it_cannot_run(self, figure1_lake, options):
+        request = DetectRequest(measure="rk", seed=1, options=options)
+        with pytest.raises(ValueError):
+            check_request(request)
+        # The measure converts through the same check when it runs.
+        with pytest.raises(ValueError):
+            HomographIndex(figure1_lake).detect(request)
+
+    def test_rk_accepts_options_that_convert(self, figure1_lake):
+        request = DetectRequest(measure="rk", seed=1, options={
+            "epsilon": "0.5", "delta": 0.2, "c": 0.25, "max_samples": 2.5,
+        })
+        check_request(request)
+        response = HomographIndex(figure1_lake).detect(request)
+        assert response.parameters["epsilon"] == 0.5
+        assert response.parameters["max_samples"] == 2

@@ -178,7 +178,7 @@ class TestSBCalibration:
     """The §5.1 baseline comparison, on a reduced SB for speed."""
 
     def test_d4_beats_zero_but_loses_to_domainnet(self):
-        from repro import DomainNet
+        from repro import HomographIndex
         from repro.bench.synthetic import SBConfig, generate_sb
         from repro.eval.metrics import precision_recall_at_k
 
@@ -188,7 +188,7 @@ class TestSBCalibration:
             d4.ranked_homographs(), sb.homographs, 55
         )
 
-        det = DomainNet.from_lake(sb.lake)
+        det = HomographIndex(sb.lake)
         bc = det.detect(measure="betweenness")
         bc_hits = sum(1 for v in bc.top_values(55) if v in sb.homographs)
 

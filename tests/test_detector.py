@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro import DomainNet
+from repro import HomographIndex
 
 
 class TestPipeline:
     def test_betweenness_detection(self, figure1_lake, figure1_homographs):
-        detector = DomainNet.from_lake(figure1_lake)
-        result = detector.detect(measure="betweenness")
+        index = HomographIndex(figure1_lake)
+        result = index.detect(measure="betweenness")
         # Occurrence pruning keeps the 4 repeated names plus "2", which
         # occurs twice within T2.num (a node, but not a homograph).
         assert len(result.ranking) == 5
@@ -17,8 +17,8 @@ class TestPipeline:
 
     def test_lcc_detection_on_unpruned_graph(self, figure1_lake):
         # On the full graph, JAGUAR has the lowest LCC of all values.
-        detector = DomainNet.from_lake(figure1_lake, prune_candidates=False)
-        result = detector.detect(measure="lcc")
+        index = HomographIndex(figure1_lake, prune_candidates=False)
+        result = index.detect(measure="lcc")
         assert result.measure == "lcc"
         assert result.ranking.values[0] == "JAGUAR"
 
@@ -26,16 +26,16 @@ class TestPipeline:
         # The paper's §5.1 finding in miniature: after pruning, LCC no
         # longer separates homographs — JAGUAR drops to the *worst* rank
         # because its four attributes pairwise-overlap heavily.
-        detector = DomainNet.from_lake(figure1_lake)
-        result = detector.detect(measure="lcc")
+        index = HomographIndex(figure1_lake)
+        result = index.detect(measure="lcc")
         assert result.ranking.values[-1] == "JAGUAR"
 
     def test_no_pruning_keeps_all_values(self, figure1_lake):
-        detector = DomainNet.from_lake(figure1_lake, prune_candidates=False)
-        assert detector.graph.num_values == 37
+        index = HomographIndex(figure1_lake, prune_candidates=False)
+        assert index.graph.num_values == 37
 
     def test_pruning_reduces_graph(self, figure1_lake):
-        pruned = DomainNet.from_lake(figure1_lake)
+        pruned = HomographIndex(figure1_lake)
         # JAGUAR, PUMA, PANDA, TOYOTA (multi-attribute) and "2"
         # (repeats within one column) survive occurrence pruning.
         assert sorted(pruned.graph.value_names) == [
@@ -44,30 +44,30 @@ class TestPipeline:
         assert pruned.graph.num_attributes == 12
 
     def test_timing_recorded(self, figure1_lake):
-        detector = DomainNet.from_lake(figure1_lake)
-        result = detector.detect()
+        index = HomographIndex(figure1_lake)
+        result = index.detect()
         assert result.graph_seconds >= 0.0
         assert result.measure_seconds >= 0.0
 
     def test_parameters_recorded(self, figure1_lake):
-        detector = DomainNet.from_lake(figure1_lake)
-        result = detector.detect(sample_size=5, seed=42)
+        index = HomographIndex(figure1_lake)
+        result = index.detect(sample_size=5, seed=42)
         assert result.parameters["sample_size"] == 5
         assert result.parameters["seed"] == 42
 
     def test_lcc_variant_parameter(self, figure1_lake):
-        detector = DomainNet.from_lake(figure1_lake)
-        result = detector.detect(measure="lcc", lcc_variant="value-neighbors")
+        index = HomographIndex(figure1_lake)
+        result = index.detect(measure="lcc", lcc_variant="value-neighbors")
         assert result.parameters["variant"] == "value-neighbors"
 
     def test_unknown_measure_rejected(self, figure1_lake):
-        detector = DomainNet.from_lake(figure1_lake)
+        index = HomographIndex(figure1_lake)
         with pytest.raises(ValueError):
-            detector.detect(measure="pagerank")
+            index.detect(measure="pagerank")
 
     def test_scores_match_ranking(self, figure1_lake):
-        detector = DomainNet.from_lake(figure1_lake)
-        result = detector.detect()
+        index = HomographIndex(figure1_lake)
+        result = index.detect()
         for entry in result.ranking:
             assert result.scores[entry.value] == entry.score
 
@@ -77,8 +77,8 @@ class TestLakeUpdates:
         """Dropping T3 and T4 removes Jaguar's car meaning entirely."""
         figure1_lake.remove_table("T3")
         figure1_lake.remove_table("T4")
-        detector = DomainNet.from_lake(figure1_lake)
-        result = detector.detect()
+        index = HomographIndex(figure1_lake)
+        result = index.detect()
         # JAGUAR and PANDA still repeat (T1/T2) but the animal columns
         # are unionable in spirit: scores collapse toward the background.
         scores = result.scores

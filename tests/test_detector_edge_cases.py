@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import DataLake, DomainNet, Table
+from repro import DataLake, HomographIndex, Table
 from repro.core.betweenness import betweenness_scores
 from repro.core.builder import build_graph
 from repro.core.lcc import lcc_scores
@@ -11,27 +11,27 @@ from repro.core.lcc import lcc_scores
 
 class TestDegenerateLakes:
     def test_empty_lake(self):
-        detector = DomainNet.from_lake(DataLake())
-        result = detector.detect()
+        index = HomographIndex(DataLake())
+        result = index.detect()
         assert len(result.ranking) == 0
 
     def test_lake_of_empty_tables(self):
         lake = DataLake([Table("t", ["a", "b"], [])])
-        detector = DomainNet.from_lake(lake)
-        assert detector.graph.num_values == 0
-        assert len(detector.detect().ranking) == 0
+        index = HomographIndex(lake)
+        assert index.graph.num_values == 0
+        assert len(index.detect().ranking) == 0
 
     def test_all_blank_cells(self):
         lake = DataLake([Table("t", ["a"], [[""], [""], [""]])])
-        detector = DomainNet.from_lake(lake)
-        assert detector.graph.num_values == 0
+        index = HomographIndex(lake)
+        assert index.graph.num_values == 0
 
     def test_single_column_lake_has_no_homographs(self):
         lake = DataLake([
             Table.from_columns("t", {"a": ["x", "y", "x", "z"]})
         ])
-        detector = DomainNet.from_lake(lake)
-        result = detector.detect()
+        index = HomographIndex(lake)
+        result = index.detect()
         # "x" survives occurrence pruning but has no bridging role.
         assert all(e.score == 0.0 for e in result.ranking)
 
@@ -41,8 +41,8 @@ class TestDegenerateLakes:
             Table.from_columns("t1", base),
             Table.from_columns("t2", base),
         ])
-        detector = DomainNet.from_lake(lake)
-        result = detector.detect()
+        index = HomographIndex(lake)
+        result = index.detect()
         # Perfectly unionable duplicates: nothing bridges anything.
         scores = np.array([e.score for e in result.ranking])
         assert np.allclose(scores, scores[0])
@@ -62,8 +62,8 @@ class TestAdversarialValues:
             Table.from_columns("t1", {"a": ["InjectedHomograph1", "x"]}),
             Table.from_columns("t2", {"b": ["InjectedHomograph1", "y"]}),
         ])
-        detector = DomainNet.from_lake(lake)
-        result = detector.detect()
+        index = HomographIndex(lake)
+        result = index.detect()
         assert "INJECTEDHOMOGRAPH1" in result.scores
 
     def test_very_long_values(self):
@@ -81,8 +81,8 @@ class TestAdversarialValues:
             Table.from_columns(f"t{i}", {"c": ["hub", f"leaf{i}"]})
             for i in range(60)
         ])
-        detector = DomainNet.from_lake(lake)
-        result = detector.detect()
+        index = HomographIndex(lake)
+        result = index.detect()
         assert result.ranking.values[0] == "HUB"
 
 
@@ -121,8 +121,8 @@ class TestPruningStability:
         from repro.bench.synthetic import SBConfig, generate_sb
 
         sb = generate_sb(SBConfig(rows=300, seed=4))
-        pruned = DomainNet.from_lake(sb.lake, prune_candidates=True)
-        full = DomainNet.from_lake(sb.lake, prune_candidates=False)
+        pruned = HomographIndex(sb.lake, prune_candidates=True)
+        full = HomographIndex(sb.lake, prune_candidates=False)
         assert pruned.graph.num_values < full.graph.num_values
 
         top_pruned = pruned.detect().top_values(15)
@@ -131,10 +131,8 @@ class TestPruningStability:
         assert overlap >= 10
 
     def test_pruning_never_drops_multi_attribute_values(self, figure1_lake):
-        pruned = DomainNet.from_lake(figure1_lake).graph
-        full = DomainNet.from_lake(
-            figure1_lake, prune_candidates=False
-        ).graph
+        pruned = HomographIndex(figure1_lake).graph
+        full = HomographIndex(figure1_lake, prune_candidates=False).graph
         multi = [
             full.value_name(v)
             for v in range(full.num_values)

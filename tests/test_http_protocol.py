@@ -113,10 +113,18 @@ class TestMalformedRequests:
         # refused before a pool could be sized from it.
         {"execution": {"backend": "serial"}},
         {"execution": {"backend": "process", "n_jobs": 100000}},
+        # rk's options go through the measure's request check.
+        {"options": {"epsilon": "x"}, "measure": "rk"},
+        {"options": {"epsilon": 2}, "measure": "rk"},
+        {"options": {"delta": 0}, "measure": "rk"},
+        {"options": {"max_samples": "x"}, "measure": "rk"},
+        {"options": {"c": float("nan")}, "measure": "rk"},
+        {"options": {"c": float("inf")}, "measure": "rk"},
     ], ids=lambda fields: "{}={!r}".format(*next(iter(fields.items()))))
     def test_invalid_request_fields_are_400(self, served, fields, query):
-        # Checked when the request is built: before admission, and
-        # before an async job is queued.
+        # Checked when the request is built, or by the measure's
+        # request check: before admission, and before an async job is
+        # queued.
         server, index = served
         body = json.dumps({"measure": "lcc", **fields}).encode()
         status, _, payload = raw_request(

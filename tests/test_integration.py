@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import DomainNet, dump_lake, load_lake
+from repro import HomographIndex, dump_lake, load_lake
 from repro.bench.synthetic import SBConfig, generate_sb
 from repro.bench.tus import TUSConfig, generate_tus
 from repro.core.builder import build_graph
@@ -19,8 +19,8 @@ class TestCsvRoundtripPipeline:
         dump_lake(sb.lake, tmp_path)
         reloaded = load_lake(tmp_path)
 
-        original = DomainNet.from_lake(sb.lake)
-        roundtrip = DomainNet.from_lake(reloaded)
+        original = HomographIndex(sb.lake)
+        roundtrip = HomographIndex(reloaded)
         assert original.graph.num_values == roundtrip.graph.num_values
         assert original.graph.num_edges == roundtrip.graph.num_edges
 
@@ -60,21 +60,21 @@ class TestCsvRoundtripPipeline:
 class TestFullPipelineQuality:
     def test_sb_detection_quality_small(self):
         sb = generate_sb(SBConfig(rows=300, seed=2))
-        detector = DomainNet.from_lake(sb.lake)
-        result = detector.detect(measure="betweenness")
+        index = HomographIndex(sb.lake)
+        result = index.detect(measure="betweenness")
         pr = precision_recall_at_k(result.ranking.values, sb.homographs, 30)
         assert pr.precision >= 0.8
 
     def test_tus_detection_with_all_strategies(self):
         tus = generate_tus(TUSConfig.small(seed=6))
-        detector = DomainNet.from_lake(tus.lake)
+        index = HomographIndex(tus.lake)
         hom = tus.homographs
-        base_rate = len(hom) / detector.graph.num_values
+        base_rate = len(hom) / index.graph.num_values
         for kwargs in (
             {"sample_size": 300, "seed": 1},
             {"sample_size": 300, "seed": 1, "endpoints": "values"},
         ):
-            result = detector.detect(measure="betweenness", **kwargs)
+            result = index.detect(measure="betweenness", **kwargs)
             pr = precision_recall_at_k(result.ranking.values, hom, 50)
             assert pr.precision > 2 * base_rate, kwargs
 
@@ -96,8 +96,8 @@ class TestDeterminismEndToEnd:
         results = []
         for _ in range(2):
             sb = generate_sb(SBConfig(rows=150, seed=9))
-            detector = DomainNet.from_lake(sb.lake)
-            result = detector.detect(
+            index = HomographIndex(sb.lake)
+            result = index.detect(
                 measure="betweenness", sample_size=200, seed=3
             )
             results.append(result.ranking.values[:25])
@@ -110,8 +110,8 @@ class TestDeterminismEndToEnd:
         reversed_lake = DataLake(
             [sb.lake.table(n) for n in reversed(sb.lake.table_names)]
         )
-        a = DomainNet.from_lake(sb.lake).detect()
-        b = DomainNet.from_lake(reversed_lake).detect()
+        a = HomographIndex(sb.lake).detect()
+        b = HomographIndex(reversed_lake).detect()
         for value in a.ranking.top_values(30):
             assert a.scores[value] == pytest.approx(
                 b.scores[value], abs=1e-12

@@ -106,9 +106,9 @@ class TestDetectionQuality:
     """The §5.1 headline shapes, asserted loosely enough to be stable."""
 
     def test_bc_beats_lcc_at_top55(self, sb):
-        from repro import DomainNet
+        from repro import HomographIndex
 
-        det = DomainNet.from_lake(sb.lake)
+        det = HomographIndex(sb.lake)
         bc = det.detect(measure="betweenness")
         lcc = det.detect(measure="lcc")
         bc_hits = sum(1 for v in bc.top_values(55) if v in sb.homographs)
@@ -117,9 +117,9 @@ class TestDetectionQuality:
         assert bc_hits >= 30  # paper: 38/55
 
     def test_bc_misses_are_abbreviations(self, sb):
-        from repro import DomainNet
+        from repro import HomographIndex
 
-        det = DomainNet.from_lake(sb.lake)
+        det = HomographIndex(sb.lake)
         bc = det.detect(measure="betweenness")
         top = set(bc.top_values(55))
         missed = sb.homographs - top

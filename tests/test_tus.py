@@ -105,11 +105,11 @@ class TestScaling:
 
     def test_detection_beats_chance(self):
         """Integration: BC ranking concentrates homographs at the top."""
-        from repro import DomainNet
+        from repro import HomographIndex
         from repro.eval.metrics import precision_recall_at_k
 
         tus = generate_tus(TUSConfig.small(seed=2))
-        det = DomainNet.from_lake(tus.lake)
+        det = HomographIndex(tus.lake)
         result = det.detect(measure="betweenness", sample_size=400, seed=1)
         hom = tus.homographs
         pr = precision_recall_at_k(result.ranking.values, hom, 50)
