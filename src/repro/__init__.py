@@ -136,7 +136,7 @@ from .cluster import (
     start_cluster,
 )
 
-__version__ = "3.0.0"
+__version__ = "3.1.0"
 
 __all__ = [
     "BipartiteGraph",

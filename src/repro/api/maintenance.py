@@ -216,15 +216,13 @@ def _patch_lcc(
             for v, score in zip(ids, segment):
                 patched[position[int(v)]] = score
 
-    affected_set = set(int(v) for v in affected_values)
-    old_scores = response.scores
+    affected_set = set(affected_values.tolist())
+    old_scores = dict(zip(*response.ranking.columns()))
+    fresh = iter(patched.tolist())
     scores: Dict[str, float] = {}
-    cursor = 0
-    for v in range(nv):
-        name = graph.value_name(v)
+    for v, name in enumerate(graph.value_names):
         if v in affected_set:
-            scores[name] = float(patched[cursor])
-            cursor += 1
+            scores[name] = next(fresh)
         else:
             carried = old_scores.get(name)
             if carried is None:
@@ -310,9 +308,7 @@ def _patch_brandes(
         values = raw_new / pairs if pairs > 0 else np.zeros_like(raw_new)
     else:
         values = raw_new / 2.0
-    scores = {
-        graph.value_name(v): float(values[v]) for v in range(nv)
-    }
+    scores = dict(zip(graph.value_names, values.tolist()))
     return PatchResult(
         response=_rebuild(response, scores),
         state={
@@ -392,9 +388,7 @@ def _patch_rk(
         acc_new[affected_values] = 0.0
 
     values = acc_new * (n / (n - 2))
-    scores = {
-        graph.value_name(v): float(values[v]) for v in range(nv)
-    }
+    scores = dict(zip(graph.value_names, values.tolist()))
     return PatchResult(
         response=_rebuild(response, scores),
         state={

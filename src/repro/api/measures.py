@@ -335,14 +335,21 @@ def _lcc_measure(
     )
 
 
+#: The largest vertex diameter a graph can have: node ids are int64.
+_MAX_VERTEX_DIAMETER = 2**63 - 1
+
+
 def _rk_options(
     request: "DetectRequest",
 ) -> Tuple[float, float, float, Optional[int]]:
     """``rk``'s options as ``(epsilon, delta, c, max_samples)``.
 
     Also the measure's request check: a value that does not convert,
-    ``epsilon`` or ``delta`` outside (0, 1), or a non-finite ``c``
+    ``epsilon`` or ``delta`` outside (0, 1), a non-finite ``c``, or
+    values whose sample-size bound overflows or divides by zero
     raises ``ValueError`` — the values the sampler cannot run with.
+    The bound is taken at the largest vertex diameter a graph can have
+    (it grows with the diameter), so no lake can make it fail later.
     """
 
     def number(name: str, kind: type, default: object):
@@ -368,6 +375,15 @@ def _rk_options(
             )
     if not math.isfinite(c):
         raise ValueError(f"rk option c must be finite, got {c!r}")
+    from ..core.approx import sample_size_bound
+
+    try:
+        sample_size_bound(epsilon, delta, _MAX_VERTEX_DIAMETER, c=c)
+    except (ArithmeticError, ValueError) as error:
+        raise ValueError(
+            f"rk options epsilon={epsilon!r}, delta={delta!r}, c={c!r} "
+            f"give no finite sample size ({type(error).__name__})"
+        ) from None
     return epsilon, delta, c, max_samples
 
 

@@ -5,9 +5,12 @@ unambiguous values because shortest paths between the communities they
 bridge must pass through them.
 
 The exact algorithm is Brandes' (2001) dependency accumulation, O(nm)
-for unweighted graphs, implemented level-synchronously on the CSR arrays
-so each BFS is a handful of numpy operations per level rather than a
-Python loop per edge.  The approximation follows the source-sampling
+for unweighted graphs.  It runs through the ``"brandes"`` kernel of
+:mod:`repro.perf.kernels`: a C loop compiled on first use
+(:mod:`repro.perf.native`), or, where no C compiler is available, the
+level-synchronous numpy loop below (:func:`_single_source_dependency`),
+a handful of numpy operations per BFS level.  Both give the same bits.
+The approximation follows the source-sampling
 scheme the paper uses through Networkit (Geisberger, Sanders & Schultes
 2008 / Brandes & Pich 2007): run the single-source dependency
 accumulation from ``s`` sampled sources and extrapolate by ``n/s``.

@@ -15,6 +15,7 @@ Example 3.6.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Tuple
 
 from ..datalake.lake import DataLake
@@ -89,12 +90,18 @@ def build_graph(
 
 
 def _occurrence_counts(values) -> Dict[str, int]:
-    """Occurrence count per normalized non-empty value of one column."""
+    """Occurrence count per normalized non-empty value of one column.
+
+    Keys come in first-appearance order.  Each distinct raw cell is
+    normalized once: Counter keeps first-appearance order, so the
+    first raw spelling of each normalized value inserts it where a
+    walk over the cells would.
+    """
     counts: Dict[str, int] = {}
-    for raw in values:
+    for raw, count in Counter(values).items():
         value = normalize_value(raw)
         if value:
-            counts[value] = counts.get(value, 0) + 1
+            counts[value] = counts.get(value, 0) + count
     return counts
 
 

@@ -25,6 +25,7 @@ which is always correct).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,6 +34,7 @@ from ..datalake.lake import DataLake
 from ..datalake.table import Table
 from .builder import _occurrence_counts
 from .graph import BipartiteGraph, SpliceSpec
+from .normalize import normalize_value
 
 #: One value's per-attribute bookkeeping: ``qualified name ->
 #: (occurrence count, first-appearance rank within the column)``.
@@ -55,22 +57,48 @@ class LakeLedger:
 
     @classmethod
     def from_lake(cls, lake: DataLake) -> "LakeLedger":
-        """Bootstrap the ledger with one pass over the lake."""
+        """Bootstrap the ledger with one pass over the lake.
+
+        The same records as :meth:`ingest_column` of every column's
+        :func:`~repro.core.builder._occurrence_counts`, built in one
+        loop: each distinct raw cell of the lake is normalized once.
+        """
         ledger = cls()
+        values = ledger._values
+        normalized: Dict[str, str] = {}
         for column in lake.iter_attributes():
-            ledger.ingest_column(
-                column.qualified_name, _occurrence_counts(column.values)
-            )
+            qname = column.qualified_name
+            rank = 0
+            for raw, count in Counter(column.values).items():
+                value = normalized.get(raw)
+                if value is None:
+                    value = normalized[raw] = normalize_value(raw)
+                if not value:
+                    continue
+                record = values.get(value)
+                if record is None:
+                    values[value] = {qname: (count, rank)}
+                elif qname in record:
+                    # Another raw spelling of a value this column has.
+                    first_count, first_rank = record[qname]
+                    record[qname] = (first_count + count, first_rank)
+                    continue
+                else:
+                    record[qname] = (count, rank)
+                rank += 1
         return ledger
 
     def ingest_column(
         self, qualified_name: str, counts: Dict[str, int]
     ) -> None:
         """Record one column's (ordered) occurrence counts."""
+        values = self._values
         for rank, (value, count) in enumerate(counts.items()):
-            self._values.setdefault(value, {})[qualified_name] = (
-                count, rank,
-            )
+            record = values.get(value)
+            if record is None:
+                values[value] = {qualified_name: (count, rank)}
+            else:
+                record[qualified_name] = (count, rank)
 
     def drop_column(
         self, qualified_name: str, counts: Dict[str, int]
@@ -131,8 +159,9 @@ def plan_mutation(
     and lake, and the caller must fall back to a full rebuild.
     """
     old_attr_names = graph.attribute_names
+    # Column.qualified_name, without materializing any column.
     new_attr_names = [
-        column.qualified_name for column in lake.iter_attributes()
+        f"{table.name}.{header}" for table in lake for header in table.columns
     ]
     if len(set(new_attr_names)) != len(new_attr_names):
         return None
@@ -205,18 +234,26 @@ def plan_mutation(
     # rebuild keys are already in id order: binary-search each
     # insertion point, evaluating survivor keys on demand.
     survivor_ids = np.flatnonzero(value_map >= 0)
-    survivor_names = [graph.value_name(int(v)) for v in survivor_ids]
+    value_names = graph.value_names
+    survivor_names = [value_names[v] for v in survivor_ids.tolist()]
+
+    survivor_keys: Dict[int, Tuple[int, int]] = {}
 
     def survivor_key(index: int) -> Tuple[int, int]:
-        record = ledger.record(survivor_names[index])
-        if record is None:
-            raise LookupError(survivor_names[index])
-        return rebuild_key(record)
+        key = survivor_keys.get(index)
+        if key is None:
+            record = ledger.record(survivor_names[index])
+            if record is None:
+                raise LookupError(survivor_names[index])
+            key = survivor_keys[index] = rebuild_key(record)
+        return key
 
     insert_points = []
+    lo = 0
     try:
         for key, _value, _edges in reinserted:
-            lo, hi = 0, len(survivor_names)
+            # Keys ascend, so each point lies at or after the last.
+            hi = len(survivor_names)
             while lo < hi:
                 mid = (lo + hi) // 2
                 if survivor_key(mid) < key:

@@ -29,6 +29,7 @@ import threading
 from dataclasses import dataclass, field
 from itertools import count
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 #: ``json.dumps(obj, sort_keys=True)`` without a new encoder per call.
@@ -226,10 +227,19 @@ class HomographRanking:
         descending: bool,
         measure: str,
     ) -> None:
-        key = (lambda item: (-item[1], item[0])) if descending else (
-            lambda item: (item[1], item[0])
-        )
-        ordered = sorted(scores.items(), key=key)
+        items = scores.items()
+        if any(score != score for _, score in items):
+            # NaN compares false both ways: keep the tuple key's order.
+            key = (lambda item: (-item[1], item[0])) if descending else (
+                lambda item: (item[1], item[0])
+            )
+            ordered = sorted(items, key=key)
+        else:
+            # The same order in two C-keyed passes: by name, then
+            # stably by score (equal scores, -0.0 and 0.0 too, keep
+            # name order).
+            ordered = sorted(items, key=itemgetter(0))
+            ordered.sort(key=itemgetter(1), reverse=descending)
         self._adopt(
             [value for value, _ in ordered],
             [float(score) for _, score in ordered],

@@ -134,8 +134,11 @@ class Table:
 
     def iter_columns(self) -> Iterator[Column]:
         """Yield every column of the table."""
-        for index in range(len(self.columns)):
-            yield self.column_at(index)
+        # One transpose instead of a row walk per column; rows are
+        # padded to the header width, so zip drops nothing.
+        columns = zip(*self.rows) if self.rows else ((),) * len(self.columns)
+        for name, values in zip(self.columns, columns):
+            yield Column(self.name, name, values)
 
     def append_row(self, row: Sequence[str]) -> None:
         """Append a row, padding short rows with empty cells."""

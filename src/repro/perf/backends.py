@@ -683,6 +683,12 @@ class ProcessBackend(ExecutionBackend):
         if not payloads:
             return []
         get_kernel(kernel)  # fail fast in the parent on unknown names
+        if kernel == "brandes":
+            from . import native
+
+            # Load the native kernel before a pool forks, so workers
+            # inherit it instead of each loading (or compiling) it.
+            native.library()
         if self.persistent:
             return self._map_persistent(graph, kernel, payloads, common)
         return self._map_per_call(graph, kernel, payloads, common)

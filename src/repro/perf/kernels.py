@@ -7,11 +7,13 @@ chunk-independent knobs.  Kernels are registered by name so a task can
 be shipped to a worker process as ``(name, payload, common)`` without
 pickling code objects.
 
-Three kernels cover the paper's hot paths:
+Four kernels cover the paper's hot paths:
 
 * ``"brandes"`` — per-source Brandes dependency accumulations
   (exact or source-sampled betweenness); partial = weighted score
-  vector over all nodes, reduced by :func:`repro.perf.tree_sum`.
+  vector over all nodes, reduced by :func:`repro.perf.tree_sum`.  It
+  runs the C loop of :mod:`repro.perf.native` when that loaded, else
+  :func:`brandes_numpy`, bit for bit the same.
 * ``"rk"`` — Riondato–Kornaropoulos shortest-path samples; each sample
   carries its own :class:`numpy.random.SeedSequence` so results are
   independent of how samples are chunked across workers.
@@ -72,9 +74,10 @@ _KERNELS: Dict[str, Kernel] = {}
 def register_kernel(name: str) -> Callable[[Kernel], Kernel]:
     """Decorator registering a kernel under ``name``.
 
-    Registered kernels can be shipped to worker processes by name —
-    including native replacements for the built-ins (see ROADMAP):
-    re-registering a name overrides it for every backend.
+    Registered kernels can be shipped to worker processes by name;
+    re-registering a name overrides it for every backend.  The
+    built-in ``"brandes"`` kernel already runs native code when it can
+    (:mod:`repro.perf.native`).
     """
     def _register(fn: Kernel) -> Kernel:
         _KERNELS[name] = fn
@@ -108,7 +111,30 @@ def brandes_kernel(
     payload: Tuple[np.ndarray, np.ndarray],
     common: Mapping,
 ) -> np.ndarray:
-    """Weighted sum of single-source dependency vectors for one chunk."""
+    """Weighted sum of single-source dependency vectors for one chunk.
+
+    Runs the native loop (:mod:`repro.perf.native`, compiled on the
+    first call in a process) when it loaded, else
+    :func:`brandes_numpy`; the two give the same bits.
+    """
+    from . import native  # imported with the first call: reads never pay
+
+    functions = native.library()
+    if functions is None:
+        return brandes_numpy(ctx, payload, common)
+    sources, weights = payload
+    n_targets = (
+        ctx.num_nodes if common["endpoints"] == "all" else ctx.num_values
+    )
+    return native.accumulate(functions, ctx, sources, weights, n_targets)
+
+
+def brandes_numpy(
+    ctx: GraphContext,
+    payload: Tuple[np.ndarray, np.ndarray],
+    common: Mapping,
+) -> np.ndarray:
+    """The numpy ``"brandes"`` loop: fallback and bit-for-bit reference."""
     sources, weights = payload
     target_weight = _target_weight(common["endpoints"], ctx)
     acc = np.zeros(ctx.num_nodes, dtype=np.float64)

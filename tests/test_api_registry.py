@@ -188,6 +188,8 @@ class TestRequestChecks:
         {"max_samples": float("inf")},
         {"c": float("nan")},
         {"c": float("inf")},
+        {"epsilon": 1e-200},
+        {"c": 1e308},
     ], ids=repr)
     def test_rk_rejects_options_it_cannot_run(self, figure1_lake, options):
         request = DetectRequest(measure="rk", seed=1, options=options)

@@ -120,6 +120,9 @@ class TestMalformedRequests:
         {"options": {"max_samples": "x"}, "measure": "rk"},
         {"options": {"c": float("nan")}, "measure": "rk"},
         {"options": {"c": float("inf")}, "measure": "rk"},
+        # Values whose sample-size bound divides by zero or overflows.
+        {"options": {"epsilon": 1e-200}, "measure": "rk"},
+        {"options": {"c": 1e308}, "measure": "rk"},
     ], ids=lambda fields: "{}={!r}".format(*next(iter(fields.items()))))
     def test_invalid_request_fields_are_400(self, served, fields, query):
         # Checked when the request is built, or by the measure's
